@@ -18,7 +18,7 @@ import numpy as np
 import scipy.optimize
 
 from . import circlegeom, pauli, search, subsets
-from .linalg import haar_random_unitary, haar_random_state, kron, schatten_norm, validate_unitary
+from .linalg import haar_random_state, haar_unitaries, kron, schatten_norm, validate_unitary
 from .metrics import check_sandwich, distinguishability, sup_distance, tensor_distance
 
 TAU = 2.0 * math.pi
@@ -33,20 +33,8 @@ class CheckResult:
     seconds: float
 
 
-def _haar_stack(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Batched Haar unitaries via QR with positive R diagonal."""
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
-    q, r = np.linalg.qr(z)
-    d = np.einsum("bii->bi", r)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-def _haar_one(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _haar_stack(rng, 1, n)[0]
-
-
 def _rotated_spectrum_unitary(rng: np.random.Generator, angles: np.ndarray) -> np.ndarray:
-    q = _haar_one(rng, len(angles))
+    q = haar_unitaries(rng, 1, len(angles))[0]
     return (q * np.exp(1j * angles)) @ q.conj().T
 
 
@@ -87,7 +75,7 @@ def _check_polygon_oracle(seed: int) -> tuple[bool, str]:
     for n in (2, 3, 4, 6):
         rng = np.random.default_rng([seed, 3, n])
         for _ in range(200):
-            u = validate_unitary(_haar_one(rng, n))
+            u = validate_unitary(haar_unitaries(rng, 1, n)[0])
             closed = sup_distance(np.eye(n), u.matrix).value
             poly, _ = circlegeom.polygon_distance_to_origin(u.eigen_angles)
             oracle = math.sqrt(max(0.0, 1.0 - poly * poly))
@@ -117,8 +105,8 @@ def _check_sup_via_optimization(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng([seed, 4])
     worst = 0.0
     for _ in range(50):
-        u = _haar_one(rng, 4)
-        v = _haar_one(rng, 4)
+        u = haar_unitaries(rng, 1, 4)[0]
+        v = haar_unitaries(rng, 1, 4)[0]
         closed = sup_distance(u, v).value
         opt = _optimized_distance(u.conj().T @ v, rng)
         worst = max(worst, abs(closed - opt))
@@ -131,8 +119,8 @@ def _check_tensor_rule(seed: int) -> tuple[bool, str]:
     saturated = 0
     smooth = 0
     for trial in range(100):
-        u, v = _haar_one(rng, 2), _haar_one(rng, 2)
-        w, x = _haar_one(rng, 3), _haar_one(rng, 3)
+        u, v = haar_unitaries(rng, 1, 2)[0], haar_unitaries(rng, 1, 2)[0]
+        w, x = haar_unitaries(rng, 1, 3)[0], haar_unitaries(rng, 1, 3)[0]
         if trial >= 60:
             # engineer small factor distances to reach the sine branch
             v = u @ _rotated_spectrum_unitary(rng, rng.uniform(0.0, 0.4, 2))
@@ -171,7 +159,7 @@ def _check_schatten_scaling(seed: int) -> tuple[bool, str]:
 
 def _check_metric_axioms(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng([seed, 7])
-    stack = _haar_stack(rng, 4000, 3)
+    stack = haar_unitaries(rng, 4000, 3)
     sym_exact = True
     worst_tri = -math.inf
     worst_mono = -math.inf
@@ -223,7 +211,7 @@ def _check_distinguishability(seed: int) -> tuple[bool, str]:
     worst_bound = 0.0
     for _ in range(50):
         angles = _angles_with_wide_arc(rng, 4)
-        u = _haar_one(rng, 4)
+        u = haar_unitaries(rng, 1, 4)[0]
         v = u @ _rotated_spectrum_unitary(rng, angles)
         rep = distinguishability(u, v)
         if not rep.distinguishable:
@@ -233,7 +221,7 @@ def _check_distinguishability(seed: int) -> tuple[bool, str]:
         width = rng.uniform(0.2, math.pi - 0.15)
         interior = rng.uniform(0.05, 0.95, 2) * width
         angles = np.concatenate([[0.0, width], interior]) + rng.uniform(0.0, TAU)
-        u = _haar_one(rng, 4)
+        u = haar_unitaries(rng, 1, 4)[0]
         v = u @ _rotated_spectrum_unitary(rng, angles)
         rep = distinguishability(u, v)
         if rep.distinguishable:
@@ -375,8 +363,8 @@ def _check_separable(seed: int) -> tuple[bool, str]:
     worst_oracle = 0.0
     worst_factor = 0.0
     for _ in range(20):
-        y = validate_unitary(_haar_one(rng, 2))
-        z = validate_unitary(_haar_one(rng, 2))
+        y = validate_unitary(haar_unitaries(rng, 1, 2)[0])
+        z = validate_unitary(haar_unitaries(rng, 1, 2)[0])
         w = kron(y.matrix, z.matrix)
         opt = subsets.separable_distance(np.eye(4), w, prob_small).value
         m_oracle = _polished_grid_oracle(w)
@@ -394,7 +382,7 @@ def _check_separable(seed: int) -> tuple[bool, str]:
     min_positive = math.inf
     evaluated = 0
     for _ in range(20):
-        u = _haar_one(rng, 4)
+        u = haar_unitaries(rng, 1, 4)[0]
         # non-scalar check: distance of u from the nearest phase of identity
         if sup_distance(np.eye(4), u).value < 1e-3:
             continue
@@ -438,8 +426,8 @@ def _check_sandwich_inequality(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng([seed, 13])
     worst = -math.inf
     for n in (2, 3, 4, 5, 6):
-        us = _haar_stack(rng, 2000, n)
-        vs = _haar_stack(rng, 2000, n)
+        us = haar_unitaries(rng, 2000, n)
+        vs = haar_unitaries(rng, 2000, n)
         for t in range(2000):
             psi = haar_random_state(n, rng)
             b = check_sandwich(us[t], vs[t], psi)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, MalformedInputError
 from .linalg import TAU, _freeze
 
 ANGLE_DEDUP_TOL = 1e-9
@@ -35,12 +35,14 @@ class SpectralArc:
 
     ``alpha`` equals 2pi minus the largest circular gap between
     consecutive angles; ``covers_semicircle`` is alpha >= pi - ARC_TOL.
+    ``anchors[i]`` indexes the input angle that ``angles[i]`` stands for.
     """
 
     angles: np.ndarray
     multiplicities: np.ndarray
     alpha: float
     covers_semicircle: bool
+    anchors: np.ndarray
 
     def arc_endpoint_indices(self) -> tuple[int, int]:
         """Indices (start, end) of the covering arc within ``angles``.
@@ -68,32 +70,40 @@ class WitnessWeights:
         return complex(np.sum(self.weights * zs))
 
 
-def _dedup_angles(angles) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce mod 2pi, sort, merge within tolerance (including the wrap)."""
+def circular_runs(angles: np.ndarray, tol: float) -> list[list[int]]:
+    """Group ascending angles in [0, 2pi) into runs of ascending indices.
+
+    A run holds the angles within ``tol`` of its first angle, its anchor
+    ``run[0]``; the last run joins the first when its anchor lies within
+    ``tol`` of the first anchor plus 2pi.
+    """
+    vals = angles.tolist()
+    starts = [0]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[starts[-1]] > tol:
+            starts.append(i)
+    runs = [list(range(s, e)) for s, e in zip(starts, starts[1:] + [len(vals)])]
+    if len(runs) > 1 and (vals[0] + TAU) - vals[starts[-1]] <= tol:
+        runs[0] += runs.pop()
+    return runs
+
+
+def smallest_covering_arc(angles) -> SpectralArc:
+    """Shortest arc of the unit circle containing all the given angles.
+
+    Angles within ``ANGLE_DEDUP_TOL`` merge into one :func:`circular_runs` run.
+    """
     a = np.asarray(angles, dtype=float).reshape(-1)
     if a.size == 0:
         raise EmptyInputError("angle set is empty")
     if not np.all(np.isfinite(a)):
-        raise ValueError("angles must be finite")
-    a = np.sort(np.mod(a, TAU))
-    uniq: list[float] = [float(a[0])]
-    mult: list[int] = [1]
-    for x in a[1:]:
-        if x - uniq[-1] <= ANGLE_DEDUP_TOL:
-            mult[-1] += 1
-        else:
-            uniq.append(float(x))
-            mult.append(1)
-    # wrap merge: the last angle may coincide with the first one mod 2pi
-    if len(uniq) > 1 and (uniq[0] + TAU) - uniq[-1] <= ANGLE_DEDUP_TOL:
-        mult[0] += mult.pop()
-        uniq.pop()
-    return np.array(uniq), np.array(mult, dtype=int)
-
-
-def smallest_covering_arc(angles) -> SpectralArc:
-    """Shortest arc of the unit circle containing all the given angles."""
-    uniq, mult = _dedup_angles(angles)
+        raise MalformedInputError("angles must be finite")
+    a = np.mod(a, TAU)
+    order = np.argsort(a, kind="stable")
+    runs = circular_runs(a[order], ANGLE_DEDUP_TOL)
+    anchors = order[[run[0] for run in runs]]
+    uniq = a[anchors]
+    mult = np.array([len(run) for run in runs])
     if len(uniq) == 1:
         alpha = 0.0
     else:
@@ -104,6 +114,7 @@ def smallest_covering_arc(angles) -> SpectralArc:
         multiplicities=_freeze(mult),
         alpha=alpha,
         covers_semicircle=alpha >= math.pi - ARC_TOL,
+        anchors=_freeze(anchors),
     )
 
 

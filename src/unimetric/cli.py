@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, circlegeom, pauli, search, subsets
+from . import circlegeom, pauli, search, subsets
 from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
@@ -30,7 +30,7 @@ from .errors import (
     UnimetricError,
 )
 from .linalg import matrix_from_json, matrix_to_json, validate_unitary, vector_to_json
-from .metrics import distinguishability, sup_distance, tensor_distance
+from .metrics import distinguishability, sup_distance_with_arc, tensor_distance
 from .numrange import numrange_origin_distance
 
 _EXIT_OK = 0
@@ -63,18 +63,10 @@ def _load_matrix(path: str) -> np.ndarray:
         raise _CliError(_EXIT_PARSE, f"cannot read matrix from {path}: {exc}") from exc
 
 
-def _relative_spectrum(u: np.ndarray, v: np.ndarray):
-    wop = validate_unitary(u.conj().T @ v)
-    return wop, circlegeom.smallest_covering_arc(wop.eigen_angles)
-
-
 def _cmd_dist(args) -> tuple[dict, str]:
     u = _load_matrix(args.u)
     v = _load_matrix(args.v)
-    validate_unitary(u)
-    validate_unitary(v)
-    result = sup_distance(u, v)
-    _, arc = _relative_spectrum(u, v)
+    result, arc = sup_distance_with_arc(u, v)
     payload = result.to_json()
     payload["alpha"] = arc.alpha
     payload["eigen_angles"] = [float(a) for a in arc.angles]
@@ -85,8 +77,6 @@ def _cmd_dist(args) -> tuple[dict, str]:
 def _cmd_distinguish(args) -> tuple[dict, str]:
     u = _load_matrix(args.u)
     v = _load_matrix(args.v)
-    validate_unitary(u)
-    validate_unitary(v)
     rep = distinguishability(u, v)
     payload = {
         "distinguishable": rep.distinguishable,
@@ -230,6 +220,9 @@ def _cmd_numrange(args) -> tuple[dict, str]:
 
 
 def _cmd_selftest(args) -> int:
+    # imported here because its oracles load scipy, which no other command needs
+    from . import acceptance
+
     indices = None
     if args.criteria:
         try:

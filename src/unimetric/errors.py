@@ -12,6 +12,10 @@ class UnimetricError(Exception):
     """Base class for all toolkit errors."""
 
 
+class MalformedInputError(UnimetricError, ValueError):
+    """Input lacks a field, has the wrong length, or holds NaN or infinity."""
+
+
 class NotSquareError(UnimetricError, ValueError):
     """Matrix expected to be square is not."""
 

@@ -24,9 +24,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidPError,
+    MalformedInputError,
     NotDensityError,
     NotSquareError,
     NotUnitaryError,
+    OutOfRangeError,
 )
 
 TAU = 2.0 * math.pi
@@ -42,8 +44,8 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
+    if not np.isfinite(a).all():
+        raise MalformedInputError("matrix entries must be finite")
     return a
 
 
@@ -146,8 +148,10 @@ def _normal_unitary_eig(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return angles[order], vecs[:, order]
 
 
-def validate_unitary(m, tol: float = UNITARITY_TOL) -> UnitaryOperator:
-    """Check unitarity and return the operator with its spectral data.
+def unitary_matrix(u, tol: float = UNITARITY_TOL) -> np.ndarray:
+    """Matrix of a UnitaryOperator as is, or a raw matrix checked for unitarity.
+
+    The check is max |U^dag U - I| <= ``tol``; no eigensolve.
 
     Raises
     ------
@@ -156,13 +160,20 @@ def validate_unitary(m, tol: float = UNITARITY_TOL) -> UnitaryOperator:
     NotUnitaryError
         If max |U^dag U - I| exceeds ``tol``.
     """
-    a = as_matrix(m)
+    if isinstance(u, UnitaryOperator):
+        return u.matrix
+    a = as_matrix(u)
     n, k = a.shape
     if n != k:
         raise NotSquareError(f"unitary must be square, got {a.shape}")
     dev = float(np.abs(a.conj().T @ a - np.eye(n)).max())
     if dev > tol:
         raise NotUnitaryError(dev, tol)
+    return a
+
+
+def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
+    """Spectral data of a matrix known to be unitary; checks the eigen-residual."""
     angles, vecs = _normal_unitary_eig(a)
     resid = np.linalg.norm(a @ vecs - vecs * np.exp(1j * angles), axis=0)
     if resid.max() > EIGEN_TOL:
@@ -174,11 +185,9 @@ def validate_unitary(m, tol: float = UNITARITY_TOL) -> UnitaryOperator:
     )
 
 
-def ensure_unitary(u, tol: float = UNITARITY_TOL) -> UnitaryOperator:
-    """Pass through a UnitaryOperator or validate a raw matrix."""
-    if isinstance(u, UnitaryOperator):
-        return u
-    return validate_unitary(u, tol)
+def validate_unitary(m, tol: float = UNITARITY_TOL) -> UnitaryOperator:
+    """Check unitarity as :func:`unitary_matrix` does, then decompose."""
+    return decompose_unitary(unitary_matrix(m, tol))
 
 
 def operator_matrix(u) -> np.ndarray:
@@ -240,20 +249,24 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def haar_random_unitary(n: int, seed: int | None = None) -> UnitaryOperator:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+def haar_unitaries(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` Haar-distributed n x n unitaries stacked as (count, n, n).
 
-    The R diagonal is phase-fixed to be positive, which makes the QR map
-    measure-preserving.  Deterministic for a fixed seed.
+    QR of complex Ginibre matrices with the R diagonal phase-fixed to be
+    positive makes the QR map measure-preserving (Mezzadri, Notices AMS 54,
+    2007).  Q does not depend on a positive scale of Z, so Z has no 1/sqrt(2).
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return validate_unitary(q * ph)
+    d = np.einsum("bii->bi", r)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_random_unitary(n: int, seed: int | None = None) -> UnitaryOperator:
+    """One Haar-distributed unitary, deterministic for a fixed seed."""
+    if n < 1:
+        raise OutOfRangeError(f"dimension must be >= 1, got {n}")
+    return validate_unitary(haar_unitaries(np.random.default_rng(seed), 1, n)[0])
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,13 +301,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         cols = int(obj["cols"])
         data = obj["data"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
+        raise MalformedInputError(f"malformed matrix object: {exc}") from exc
     if len(data) != rows * cols:
-        raise ValueError(
+        raise MalformedInputError(
             f"data length {len(data)} does not match rows*cols = {rows * cols}"
         )
     flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return flat.reshape(rows, cols)
+    return as_matrix(flat.reshape(rows, cols))
 
 
 def vector_to_json(v) -> dict:

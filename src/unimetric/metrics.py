@@ -28,9 +28,10 @@ from .errors import (
 )
 from .linalg import (
     DensityState,
-    ensure_unitary,
+    decompose_unitary,
     operator_matrix,
     trace_distance_matrices,
+    unitary_matrix,
     vector_to_json,
 )
 
@@ -87,8 +88,9 @@ class DistinguishabilityResult:
 
 
 def _pair_matrices(u, v) -> tuple[np.ndarray, np.ndarray]:
-    mu = operator_matrix(u)
-    mv = operator_matrix(v)
+    """Operand matrices, each raw one checked for unitarity (no eigensolve)."""
+    mu = unitary_matrix(u)
+    mv = unitary_matrix(v)
     if mu.shape != mv.shape:
         raise DimensionMismatchError(f"operator shapes differ: {mu.shape} vs {mv.shape}")
     return mu, mv
@@ -135,45 +137,44 @@ def d_rho(u, v, rho) -> float:
     return trace_distance_matrices(mu @ rm @ mu.conj().T, mv @ rm @ mv.conj().T)
 
 
-def _representative_indices(arc: circlegeom.SpectralArc, all_angles: np.ndarray) -> list[int]:
-    """For each deduplicated angle, one index into the raw sorted angles."""
-    reps = []
-    for theta in arc.angles:
-        sep = np.abs(all_angles - theta)
-        sep = np.minimum(sep, 2 * math.pi - sep)
-        reps.append(int(np.argmin(sep)))
-    return reps
+def sup_distance_with_arc(u, v) -> tuple[MetricResult, circlegeom.SpectralArc]:
+    """Closed-form d(U, V) with a maximizing pure state, and the arc of U'V.
 
-
-def sup_distance(u, v) -> MetricResult:
-    """Sup-metric d(U, V) with a maximizing pure state, closed form.
-
-    Arguments are reordered by a deterministic byte comparison before
-    forming U'V, so d(U, V) and d(V, U) run the identical computation
-    and return bitwise-equal values.
+    The operands are checked once; W = U'V is eigensolved once and not
+    re-judged at the operands' unitarity tolerance.  Arguments are
+    reordered by a deterministic byte comparison before forming W, so
+    d(U, V) and d(V, U) run the identical computation and return
+    bitwise-equal values; when the order flips, the reported arc is
+    rebuilt from the mirrored angles of V'U, so it describes U'V.
     """
     mu, mv = _pair_matrices(u, v)
-    if mv.tobytes() < mu.tobytes():
+    swapped = mv.tobytes() < mu.tobytes()
+    if swapped:
         mu, mv = mv, mu
-    wop = ensure_unitary(mu.conj().T @ mv)
+    wop = decompose_unitary(mu.conj().T @ mv)
     arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
     value = circlegeom.distance_from_arc(arc)
-    reps = _representative_indices(arc, wop.eigen_angles)
+    vecs = wop.eigen_vectors
     if value >= 1.0:
         _, witness = circlegeom.polygon_distance_to_origin(arc)
         psi = np.zeros(wop.dim, dtype=complex)
         for idx, w in zip(witness.support, witness.weights):
-            psi += math.sqrt(w) * wop.eigen_vectors[:, reps[idx]]
+            psi += math.sqrt(w) * vecs[:, arc.anchors[idx]]
     else:
         s_idx, e_idx = arc.arc_endpoint_indices()
         if s_idx == e_idx:
-            psi = wop.eigen_vectors[:, reps[s_idx]].copy()
+            psi = vecs[:, arc.anchors[s_idx]].copy()
         else:
-            psi = (
-                wop.eigen_vectors[:, reps[s_idx]] + wop.eigen_vectors[:, reps[e_idx]]
-            ) / math.sqrt(2.0)
+            psi = (vecs[:, arc.anchors[s_idx]] + vecs[:, arc.anchors[e_idx]]) / math.sqrt(2.0)
     psi = psi / np.linalg.norm(psi)
-    return MetricResult(value=value, maximizer=psi, method="closed_form")
+    if swapped:
+        arc = circlegeom.smallest_covering_arc(2 * math.pi - wop.eigen_angles)
+    return MetricResult(value=value, maximizer=psi, method="closed_form"), arc
+
+
+def sup_distance(u, v) -> MetricResult:
+    """Sup-metric d(U, V) with a maximizing pure state, closed form."""
+    return sup_distance_with_arc(u, v)[0]
 
 
 def schatten_sup_distance(u, v, p: float) -> float:
@@ -229,12 +230,10 @@ def check_sandwich(u, v, psi) -> SandwichBounds:
 
 def distinguishability(u, v, tol: float = RESULT_TOL) -> DistinguishabilityResult:
     """Decide one-shot distinguishability; d(U, V) = 1 is the criterion."""
-    mu, mv = _pair_matrices(u, v)
-    result = sup_distance(mu, mv)
-    wop = ensure_unitary(mu.conj().T @ mv)
-    arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
+    result, arc = sup_distance_with_arc(u, v)
     if result.value >= 1.0 - tol:
         alpha_vec = result.maximizer
+        mu, mv = operator_matrix(u), operator_matrix(v)
         residual = float(abs(np.vdot(mu @ alpha_vec, mv @ alpha_vec)))
         return DistinguishabilityResult(
             distinguishable=True,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSquareError
+from .errors import NotSquareError, OutOfRangeError
 from .linalg import as_matrix
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -46,9 +46,9 @@ class NumericalRangeQuery:
         if m.shape[0] != m.shape[1]:
             raise NotSquareError(f"numerical range needs a square matrix, got {m.shape}")
         if self.phi_samples < 8:
-            raise ValueError("phi_samples must be at least 8")
+            raise OutOfRangeError("phi_samples must be at least 8")
         if self.refine_iters < 0:
-            raise ValueError("refine_iters must be nonnegative")
+            raise OutOfRangeError("refine_iters must be nonnegative")
         object.__setattr__(self, "matrix", m)
 
 

@@ -126,7 +126,9 @@ def minimal_k(p: SearchProblem, epsilon: float) -> tuple[int, float]:
         achieved = distance_after_k(p, k)
         if achieved <= epsilon + 1e-9:
             if p.N is not None and p.gamma == p.alpha:
-                assert k <= math.ceil((math.pi / 2) * math.sqrt(p.N))
+                bound = math.ceil((math.pi / 2) * math.sqrt(p.N))
+                if k > bound:
+                    raise RuntimeError(f"minimal k = {k} exceeds (pi/2) sqrt(N) = {bound}")
             return k, achieved
     ks = np.arange(0, period_max + 1)
     best = int(ks[np.argmin(_formula_distance(p, ks))])

@@ -21,21 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circlegeom import circular_runs
 from .errors import (
     DimensionMismatchError,
     EmptyGeneratorsError,
     NotAFaceError,
     NotCommutingError,
+    OutOfRangeError,
 )
 from .linalg import (
-    TAU,
     _freeze,
     _normal_unitary_eig,
     as_matrix,
-    ensure_unitary,
     haar_random_state,
     matrix_to_json,
-    operator_matrix,
+    unitary_matrix,
 )
 from .metrics import MetricResult, _pair_matrices
 from .numrange import numrange_origin_distance
@@ -82,9 +82,9 @@ class SeparableProblem:
 
     def __post_init__(self):
         if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError("factor dimensions must be positive")
+            raise OutOfRangeError("factor dimensions must be positive")
         if self.restarts < 1 or self.max_alternations < 1:
-            raise ValueError("restarts and max_alternations must be positive")
+            raise OutOfRangeError("restarts and max_alternations must be positive")
 
 
 @dataclass(frozen=True)
@@ -208,39 +208,25 @@ def separable_distance(u, v, prob: SeparableProblem) -> MetricResult:
         )
     w = mu.conj().T @ mv
     rng = np.random.default_rng(prob.seed)
-    best_obj = math.inf
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
+    runs = []
     for _ in range(prob.restarts):
         a0 = haar_random_state(prob.dim_a, rng)
         b0 = haar_random_state(prob.dim_b, rng)
-        alpha, beta, obj, _ = alternating_product_minimization(
-            w, prob.dim_a, prob.dim_b, a0, b0, prob.max_alternations
+        runs.append(
+            alternating_product_minimization(
+                w, prob.dim_a, prob.dim_b, a0, b0, prob.max_alternations
+            )
         )
-        if obj < best_obj:
-            best_obj, best_pair = obj, (alpha, beta)
-        if best_obj < 1e-13:
+        if runs[-1][2] < 1e-13:
             break
-    assert best_pair is not None
+    # min keeps the earliest of equal objectives
+    alpha, beta, best_obj, _ = min(runs, key=lambda run: run[2])
     value = math.sqrt(min(1.0, max(0.0, 1.0 - best_obj * best_obj)))
-    maximizer = np.kron(best_pair[0], best_pair[1])
+    maximizer = np.kron(alpha, beta)
     maximizer = maximizer / np.linalg.norm(maximizer)
     return MetricResult(
         value=value, maximizer=maximizer, method="optimization", tolerance=_SUBSET_RESULT_TOL
     )
-
-
-def _circular_runs(angles: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group sorted angles into runs closer than tol, merging across 2pi."""
-    k = len(angles)
-    runs: list[list[int]] = [[0]]
-    for i in range(1, k):
-        if angles[i] - angles[runs[-1][-1]] <= tol:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    if len(runs) > 1 and (angles[runs[0][0]] + TAU) - angles[runs[-1][-1]] <= tol:
-        runs[0] = runs.pop() + runs[0]
-    return [np.array(r, dtype=int) for r in runs]
 
 
 def null_space(generators) -> NullSpaceResult:
@@ -254,7 +240,7 @@ def null_space(generators) -> NullSpaceResult:
     gens = list(generators)
     if not gens:
         raise EmptyGeneratorsError("need at least one generator")
-    mats = [ensure_unitary(operator_matrix(g)).matrix for g in gens]
+    mats = [unitary_matrix(g) for g in gens]
     n = mats[0].shape[0]
     for g in mats[1:]:
         if g.shape[0] != n:
@@ -273,7 +259,7 @@ def null_space(generators) -> NullSpaceResult:
             comp = sub.conj().T @ g @ sub
             angles, vecs = _normal_unitary_eig(comp)
             basis[:, cols] = sub @ vecs
-            for run in _circular_runs(angles, COMMUTATION_TOL):
+            for run in circular_runs(angles, COMMUTATION_TOL):
                 char = complex(np.mean(np.exp(1j * angles[run])))
                 char /= abs(char)
                 refined.append(([cols[i] for i in run], chars + [char]))

@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from unimetric import cli
-from unimetric.linalg import matrix_to_json, save_matrix
+from unimetric.linalg import haar_random_unitary, matrix_to_json, save_matrix
 from unimetric.metrics import sup_distance
 
 CNOT = np.eye(4)[[0, 1, 3, 2]].astype(complex)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -244,3 +248,82 @@ class TestMatrixFormat:
         save_matrix(p, q)
         obj = json.loads(p.read_text())
         assert obj == matrix_to_json(q)
+
+
+def _haar_file(tmp_path, name, n, seed):
+    path = tmp_path / f"{name}.json"
+    save_matrix(path, haar_random_unitary(n, seed=seed).matrix)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["dist", "distinguish"])
+def test_one_eigensolve_per_call(command, tmp_path, capsys, monkeypatch):
+    u = _haar_file(tmp_path, "u", 5, 80)
+    v = _haar_file(tmp_path, "v", 5, 81)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert cli.main([command, u, v]) == 0
+    assert len(calls) == 1
+
+
+def test_dist_arc_describes_the_given_order(tmp_path, capsys):
+    u = _haar_file(tmp_path, "u", 4, 82)
+    v = _haar_file(tmp_path, "v", 4, 83)
+    _, uv = run_json(capsys, ["dist", u, v])
+    _, vu = run_json(capsys, ["dist", v, u])
+    assert uv["value"] == vu["value"]
+    mirrored = np.sort(np.mod(-np.array(uv["eigen_angles"]), 2 * math.pi))
+    np.testing.assert_allclose(vu["eigen_angles"], mirrored, rtol=0, atol=1e-12)
+    assert vu["multiplicities"] == uv["multiplicities"][::-1]
+
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]])
+Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [(2 * np.eye(4), 0.5 * np.eye(4)), (2 * np.kron(X, Z), 0.5 * np.kron(Y, Y))],
+)
+def test_dist_non_unitary_operands_exit_4(u, v, tmp_path, capsys):
+    save_matrix(tmp_path / "u.json", u)
+    save_matrix(tmp_path / "v.json", v)
+    assert cli.main(["dist", str(tmp_path / "u.json"), str(tmp_path / "v.json")]) == 4
+
+
+def _run_python(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def _run_cli(*argv):
+    return _run_python("-m", "unimetric.cli", *argv)
+
+
+def test_non_finite_entry_exits_2_without_traceback(tmp_path, matrix_files):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]}))
+    proc = _run_cli("dist", str(bad), matrix_files["I2"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_restarts_exit_5_without_traceback(matrix_files):
+    proc = _run_cli(
+        "sep-dist", matrix_files["I4"], matrix_files["swap"], "--dims", "2,2", "--restarts", "0"
+    )
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_does_not_load_scipy():
+    # only selftest needs scipy; importing it costs most of the CLI's start-up
+    proc = _run_python("-c", "import sys, unimetric.cli; print('scipy.optimize' in sys.modules)")
+    assert proc.stdout.strip() == "False"

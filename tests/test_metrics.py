@@ -9,6 +9,7 @@ from unimetric.errors import (
     DimensionMismatchError,
     InvalidPError,
     NotNormalizedError,
+    NotUnitaryError,
     OutOfRangeError,
 )
 from unimetric.linalg import DensityState, haar_random_unitary, kron
@@ -21,6 +22,7 @@ from unimetric.metrics import (
     sup_distance,
     tensor_distance,
 )
+from unimetric.subsets import SeparableProblem, face_distance, separable_distance
 
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
@@ -251,3 +253,51 @@ class TestDistinguishability:
         rep = distinguishability(u, np.exp(0.4j) * u)
         assert not rep.distinguishable
         assert rep.min_overlap_bound == pytest.approx(1.0, abs=1e-12)
+
+    def test_symmetric_bitwise(self):
+        for u, v in ((haar(4, 60), haar(4, 61)), (np.eye(4), CNOT), (I2, Z)):
+            a, b = distinguishability(u, v), distinguishability(v, u)
+            assert a.value == b.value
+            assert a.distinguishable == b.distinguishable
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+# U'V is unitary for both pairs although neither operand is
+NON_UNITARY_PAIRS = [
+    (2 * np.eye(4), 0.5 * np.eye(4)),
+    (2 * np.kron(PAULI_X, Z), 0.5 * np.kron(PAULI_Y, PAULI_Y)),
+]
+PAIR_FUNCTIONS = {
+    "sup_distance": sup_distance,
+    "distinguishability": distinguishability,
+    "d_psi": lambda u, v: d_psi(u, v, np.eye(4)[0]),
+    "d_rho": lambda u, v: d_rho(u, v, np.eye(4) / 4),
+    "check_sandwich": lambda u, v: check_sandwich(u, v, np.eye(4)[0]),
+    "face_distance": lambda u, v: face_distance(u, v, np.eye(4)[:, :2]),
+    "separable_distance": lambda u, v: separable_distance(
+        u, v, SeparableProblem(dim_a=2, dim_b=2, restarts=1)
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", range(len(NON_UNITARY_PAIRS)))
+@pytest.mark.parametrize("name", sorted(PAIR_FUNCTIONS))
+def test_pair_functions_reject_non_unitary_operands(name, pair):
+    with pytest.raises(NotUnitaryError):
+        PAIR_FUNCTIONS[name](*NON_UNITARY_PAIRS[pair])
+
+
+@pytest.mark.parametrize("func", [sup_distance, distinguishability])
+def test_one_eigensolve_per_pair(func, monkeypatch):
+    u, v = haar(5, 70), haar(5, 71)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    func(u, v)
+    assert len(calls) == 1
