@@ -91,6 +91,20 @@ class InvalidAnglesError(UnimetricError, ValueError):
     """Search angles outside their open domain (0, pi/2)."""
 
 
+class NumericalRangeError(UnimetricError):
+    """The numerical-range solver found no witness within its tolerance.
+
+    Carries the smallest residual |<psi|M|psi>| it reached.
+    """
+
+    def __init__(self, residual: float, tol: float):
+        self.residual = float(residual)
+        self.tol = float(tol)
+        super().__init__(
+            f"no zero witness found: best |<psi|M|psi>| = {residual:.3e} > tol {tol:.1e}"
+        )
+
+
 class UnreachableToleranceError(UnimetricError):
     """No power within the first period reaches the requested tolerance.
 

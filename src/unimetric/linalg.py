@@ -50,7 +50,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """Read-only C-contiguous copy; the caller's array stays writeable."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 

@@ -54,14 +54,8 @@ class SearchProblem:
         return cls(alpha=alpha, gamma=alpha if gamma is None else gamma, theta=theta, N=N)
 
 
-def build_operators(p: SearchProblem) -> tuple[UnitaryOperator, UnitaryOperator]:
-    """Target U and step V in the {psi1, psi2} basis.
-
-    U is the phase-decorated rotation sending the prepared state
-    (sin a, e^{i theta} cos a) to psi1; V rotates by gamma with the same
-    phase convention.  U'V^k then has eigenvalues
-    exp(+-i[pi/2 - (alpha + k gamma)]).
-    """
+def _search_matrices(p: SearchProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Raw matrices of the target U and the step V; unitary by construction."""
     a, g, th = p.alpha, p.gamma, p.theta
     eith = complex(math.cos(th), math.sin(th))
     u = np.array(
@@ -78,6 +72,18 @@ def build_operators(p: SearchProblem) -> tuple[UnitaryOperator, UnitaryOperator]
         ],
         dtype=complex,
     )
+    return u, v
+
+
+def build_operators(p: SearchProblem) -> tuple[UnitaryOperator, UnitaryOperator]:
+    """Target U and step V in the {psi1, psi2} basis.
+
+    U is the phase-decorated rotation sending the prepared state
+    (sin a, e^{i theta} cos a) to psi1; V rotates by gamma with the same
+    phase convention.  U'V^k then has eigenvalues
+    exp(+-i[pi/2 - (alpha + k gamma)]).
+    """
+    u, v = _search_matrices(p)
     return validate_unitary(u), validate_unitary(v)
 
 
@@ -91,9 +97,8 @@ def distance_after_k(p: SearchProblem, k: int) -> float:
     """sup-metric distance between the target and the k-fold step."""
     if k < 0:
         raise OutOfRangeError(f"k must be nonnegative, got {k}")
-    u, v = build_operators(p)
-    vk = np.linalg.matrix_power(v.matrix, k)
-    return sup_distance(u.matrix, vk).value
+    u, v = _search_matrices(p)
+    return sup_distance(u, np.linalg.matrix_power(v, k)).value
 
 
 def _formula_distance(p: SearchProblem, k: np.ndarray) -> np.ndarray:

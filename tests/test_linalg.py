@@ -75,6 +75,17 @@ class TestValidateUnitary:
         assert np.abs(rebuilt - w).max() <= 1e-8
 
 
+def test_validation_leaves_caller_arrays_writeable():
+    a = np.eye(2, dtype=complex)
+    u = validate_unitary(a)
+    vec = PLUS.astype(complex)
+    rho = DensityState.pure(vec)
+    assert a.flags.writeable and vec.flags.writeable
+    assert not u.matrix.flags.writeable and not rho.pure_vector.flags.writeable
+    a[0, 0] = 2.0
+    assert u.matrix[0, 0] == 1.0
+
+
 class TestSchattenNorm:
     def test_zero_matrix(self):
         for p in (1, 2, 3, math.inf):

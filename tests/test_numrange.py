@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unimetric import numrange
 from unimetric.circlegeom import polygon_distance_to_origin
-from unimetric.errors import NotSquareError
-from unimetric.linalg import haar_random_unitary
+from unimetric.errors import NotSquareError, NumericalRangeError
+from unimetric.linalg import haar_random_unitary, haar_unitaries
 from unimetric.numrange import NumericalRangeQuery, numrange_origin_distance
 
 seeds = st.integers(0, 10_000)
@@ -112,3 +113,164 @@ class TestZeroWitness:
         assert dist == 0.0
         assert abs(form_value(shifted, wit)) <= 1e-8
         assert abs(np.linalg.norm(wit) - 1.0) <= 1e-8
+
+
+def segment_distance(p, q):
+    """Distance from 0 to the segment [p, q] of the complex plane."""
+    d = q - p
+    t = min(1.0, max(0.0, -(d.conjugate() * p).real / abs(d) ** 2))
+    return abs(p + t * d)
+
+
+def at_distance(m0, phi, d):
+    """Shift of m0 whose numerical range lies at distance exactly d from 0.
+
+    psi minimizes Herm(e^{i phi} m0), so z = <psi|m0|psi> supports F(m0)
+    in direction phi and F(m0) - z lies in Re(e^{i phi} w) >= 0 with 0 on
+    its edge; adding d e^{-i phi} moves that edge to distance d, and the
+    point d e^{-i phi} of the shifted range attains it.
+    """
+    n = m0.shape[0]
+    herm = (np.exp(1j * phi) * m0 + np.exp(-1j * phi) * m0.conj().T) / 2
+    psi = np.linalg.eigh(herm)[1][:, 0]
+    z = psi.conj() @ m0 @ psi
+    return m0 - (z - d * np.exp(-1j * phi)) * np.eye(n)
+
+
+def random_matrix(rng, n, normal):
+    if normal:
+        q = haar_unitaries(rng, 1, n)[0]
+        eigs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return (q * eigs) @ q.conj().T
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def thin_triangle(rng):
+    """Normal 3x3 whose nearest point lies inside an edge, at d in [1e-6, 1e-2].
+
+    The edge [p, q] passes at distance d from 0; the third eigenvalue r
+    lies beyond it, often nearly on the edge's line, where a coarse grid
+    sees the far kink higher than the thin positive lobe.
+    """
+    d = 10 ** rng.uniform(-6, -2)
+    normal = np.exp(1j * rng.uniform(0, 2 * math.pi))
+    near = d * normal
+    p = near + rng.uniform(0.05, 2) * 1j * normal
+    q = near - rng.uniform(0.05, 2) * 1j * normal
+    r = near + 10 ** rng.uniform(-4, 0.5) * normal + rng.uniform(-3, 3) * 1j * normal
+    u = haar_unitaries(rng, 1, 3)[0]
+    return (u * np.array([p, q, r])) @ u.conj().T, d
+
+
+class TestThinLobe:
+    # the positive lobe of g(phi) is ~d wide, far narrower than a grid step
+    REPRODUCER = np.diag(
+        [1.03101999 - 0.21899796j, -0.98468951 + 0.20709732j, 1.81873671 - 0.38256091j]
+    )
+
+    def test_reproducer(self):
+        # 0 lies just outside the triangle, nearest to the edge from the
+        # second eigenvalue to the third
+        eigs = np.diag(self.REPRODUCER)
+        exact = segment_distance(eigs[1], eigs[2])
+        dist, wit = numrange_origin_distance(self.REPRODUCER)
+        assert exact == pytest.approx(1.683e-5, abs=1e-8)
+        assert dist == pytest.approx(exact, abs=1e-9)
+        assert abs(form_value(self.REPRODUCER, wit)) == pytest.approx(exact, abs=1e-9)
+
+    def test_seeded_corpus(self):
+        rng = np.random.default_rng(20241019)
+        misses = []
+        for k in range(1000):
+            m, d = thin_triangle(rng)
+            dist, wit = numrange_origin_distance(m)
+            if abs(dist - d) > 1e-9 or abs(abs(form_value(m, wit)) - d) > 1e-6:
+                misses.append((k, d, dist))
+        assert misses == []
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("d", [0.3, 1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("normal", [True, False], ids=["normal", "nonnormal"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_distance_and_witness(self, n, normal, d):
+        rng = np.random.default_rng([n, int(normal), int(-math.log10(d))])
+        for _ in range(8):
+            m = at_distance(random_matrix(rng, n, normal), rng.uniform(0, 2 * math.pi), d)
+            dist, wit = numrange_origin_distance(m)
+            assert dist == pytest.approx(d, abs=1e-9)
+            assert abs(form_value(m, wit)) == pytest.approx(d, abs=1e-6)
+            assert abs(np.linalg.norm(wit) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("normal", [True, False], ids=["normal", "nonnormal"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_origin_on_the_boundary_or_inside(self, n, normal):
+        rng = np.random.default_rng([n, int(normal), 99])
+        for _ in range(8):
+            m0 = random_matrix(rng, n, normal)
+            boundary = at_distance(m0, rng.uniform(0, 2 * math.pi), 0.0)
+            # midpoint of two boundary points, inside F unless F is a segment
+            other = at_distance(m0, rng.uniform(0, 2 * math.pi), 0.0)
+            inside = boundary + (other[0, 0] - boundary[0, 0]) / 2 * np.eye(n)
+            for m in (boundary, inside):
+                dist, wit = numrange_origin_distance(m)
+                assert dist <= 1e-12
+                assert abs(form_value(m, wit)) <= 1e-8
+
+
+def test_eigensolves_per_positive_call(monkeypatch):
+    # one batched bracket plus a few Newton or kink steps, no per-angle sweep
+    calls = []
+
+    def counting(solver):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
+
+        return counted
+
+    rng = np.random.default_rng(7)
+    cases = []
+    for k in range(60):
+        n = 2 + k % 3
+        d = 10 ** rng.uniform(-6, -0.5)
+        cases.append(at_distance(random_matrix(rng, n, k % 2 == 0), rng.uniform(0, 6.3), d))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    worst = 0
+    for m in cases:
+        calls.clear()
+        dist, _ = numrange_origin_distance(m)
+        assert dist > 0.0
+        worst = max(worst, len(calls))
+    assert worst <= 8
+
+
+class TestWitnessGuard:
+    M = np.diag([1.0, 1j, -1.0, -1j])
+
+    def _bad_first(self, monkeypatch, misses):
+        solve = numrange._solve
+        grids = []
+
+        def patched(m, ha, hb, samples, iters):
+            grids.append(samples)
+            if len(grids) <= misses:
+                return 0.0, np.eye(m.shape[0], dtype=complex)[0]
+            return solve(m, ha, hb, samples, iters)
+
+        monkeypatch.setattr(numrange, "_solve", patched)
+        return grids
+
+    def test_miss_is_solved_again_on_a_doubled_grid(self, monkeypatch):
+        grids = self._bad_first(monkeypatch, misses=1)
+        dist, wit = numrange_origin_distance(NumericalRangeQuery(self.M, phi_samples=40))
+        assert grids == [40, 80]
+        assert dist == 0.0 and abs(form_value(self.M, wit)) <= 1e-8
+
+    def test_second_miss_raises(self, monkeypatch):
+        grids = self._bad_first(monkeypatch, misses=2)
+        with pytest.raises(NumericalRangeError) as exc:
+            numrange_origin_distance(self.M)
+        assert grids == [64, 128]
+        assert exc.value.residual == pytest.approx(1.0)

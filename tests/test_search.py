@@ -150,3 +150,26 @@ class TestMinimalK:
         k, _ = minimal_k(SearchProblem.from_size(n), 0.1)
         ratio = k / math.sqrt(n)
         assert 1.0 <= ratio <= 1.7
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: distance_after_k(p, 700),
+        lambda p: minimal_k(p, 0.1),
+    ],
+    ids=["distance_after_k", "minimal_k"],
+)
+def test_eigensolves_per_search_call(call, monkeypatch):
+    # U'V^k has a conjugate eigenvalue pair, so its Hermitian part is a
+    # multiple of I and the split eigensolves that cluster once more
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    call(SearchProblem.from_size(2**20))
+    assert len(calls) == 2
