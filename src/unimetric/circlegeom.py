@@ -3,12 +3,13 @@
 Three operations drive the closed-form unitary metric:
 
 * :func:`smallest_covering_arc` finds the shortest arc containing every
-  point, via the largest circular gap between consecutive angles.
+  point, 2pi minus the largest circular gap between consecutive angles;
+  no angles merge, so the arc is monotone and continuous in them.
 * :func:`polygon_distance_to_origin` measures the distance from 0 to the
   convex hull of the points exp(i*theta).  It is computed with plain 2-d
   segment geometry, independently of the arc formula, so the identity
-  sin(alpha/2) = sqrt(1 - dist^2) can be used as a cross-check between
-  two genuinely different code paths.
+  dist = cos(alpha/2) (0 once alpha >= pi) can be used as a cross-check
+  between two genuinely different code paths.
 * :func:`distance_from_arc` is the closed form itself: sin(alpha/2) for
   arcs shorter than a semicircle, 1 once a semicircle is covered.
 
@@ -23,39 +24,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, MalformedInputError
-from .linalg import TAU, _freeze
+from .linalg import TAU, _freeze, reduce_angles
 
-ANGLE_DEDUP_TOL = 1e-9
+# angles this close share one run of the display grouping
+RUN_TOL = 1e-9
 ARC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectralArc:
-    """Deduplicated sorted angles with the smallest covering arc length.
+    """Sorted angles in [0, 2pi) with the smallest arc that covers them.
 
-    ``alpha`` equals 2pi minus the largest circular gap between
-    consecutive angles; ``covers_semicircle`` is alpha >= pi - ARC_TOL.
-    ``anchors[i]`` indexes the input angle that ``angles[i]`` stands for.
+    ``alpha`` is 2pi minus the largest circular gap between consecutive
+    angles, 0 for a single angle; the arc runs counterclockwise from
+    ``angles[start]`` to ``angles[end]``.  ``covers_semicircle`` is
+    alpha >= pi - ARC_TOL.  Repeated angles are all kept.
     """
 
     angles: np.ndarray
-    multiplicities: np.ndarray
     alpha: float
     covers_semicircle: bool
-    anchors: np.ndarray
-
-    def arc_endpoint_indices(self) -> tuple[int, int]:
-        """Indices (start, end) of the covering arc within ``angles``.
-
-        The arc runs counterclockwise from start to end; for a single
-        distinct angle both indices are 0.
-        """
-        k = len(self.angles)
-        if k == 1:
-            return 0, 0
-        gaps = np.diff(self.angles, append=self.angles[0] + TAU)
-        g = int(np.argmax(gaps))
-        return (g + 1) % k, g
+    start: int
+    end: int
 
 
 @dataclass(frozen=True)
@@ -91,31 +81,32 @@ def circular_runs(angles: np.ndarray, tol: float) -> list[list[int]]:
 def smallest_covering_arc(angles) -> SpectralArc:
     """Shortest arc of the unit circle containing all the given angles.
 
-    Angles within ``ANGLE_DEDUP_TOL`` merge into one :func:`circular_runs` run.
+    Angles already sorted in [0, 2pi) keep their positions, so ``start``
+    and ``end`` index the input itself.
     """
     a = np.asarray(angles, dtype=float).reshape(-1)
     if a.size == 0:
         raise EmptyInputError("angle set is empty")
     if not np.all(np.isfinite(a)):
         raise MalformedInputError("angles must be finite")
-    a = np.mod(a, TAU)
-    order = np.argsort(a, kind="stable")
-    runs = circular_runs(a[order], ANGLE_DEDUP_TOL)
-    anchors = order[[run[0] for run in runs]]
-    uniq = a[anchors]
-    mult = np.array([len(run) for run in runs])
-    if len(uniq) == 1:
-        alpha = 0.0
-    else:
-        gaps = np.diff(uniq, append=uniq[0] + TAU)
-        alpha = float(min(TAU, max(0.0, TAU - gaps.max())))
+    a = np.sort(reduce_angles(a))
+    gaps = np.diff(a, append=a[0] + TAU)
+    g = int(np.argmax(gaps))
+    # with the closing gap widest the arc is the spread, exactly 0 for repeats
+    alpha = float(a[-1] - a[0] if g == a.size - 1 else TAU - gaps[g])
     return SpectralArc(
-        angles=_freeze(uniq),
-        multiplicities=_freeze(mult),
+        angles=_freeze(a),
         alpha=alpha,
         covers_semicircle=alpha >= math.pi - ARC_TOL,
-        anchors=_freeze(anchors),
+        start=(g + 1) % a.size,
+        end=g,
     )
+
+
+def angle_runs(arc: SpectralArc) -> tuple[np.ndarray, np.ndarray]:
+    """Display grouping: the first angle and the size of each ``RUN_TOL`` run."""
+    runs = circular_runs(arc.angles, RUN_TOL)
+    return arc.angles[[run[0] for run in runs]], np.array([len(run) for run in runs])
 
 
 def distance_from_arc(arc: SpectralArc) -> float:
@@ -125,41 +116,39 @@ def distance_from_arc(arc: SpectralArc) -> float:
     return float(min(1.0, max(0.0, math.sin(arc.alpha / 2.0))))
 
 
-def _antipodal_pair(uniq: np.ndarray) -> tuple[int, int] | None:
+def _antipodal_pair(angles: np.ndarray) -> tuple[int, int] | None:
     """Pair of indices separated by pi within ARC_TOL, if one exists."""
-    k = len(uniq)
-    targets = np.mod(uniq + math.pi, TAU)
+    k = len(angles)
+    targets = np.mod(angles + math.pi, TAU)
     for i in range(k):
-        j = int(np.searchsorted(uniq, targets[i]))
+        j = int(np.searchsorted(angles, targets[i]))
         for jj in (j - 1, j % k):
-            sep = abs(uniq[jj % k] - targets[i])
+            sep = abs(angles[jj % k] - targets[i])
             sep = min(sep, TAU - sep)
             if jj % k != i and sep <= ARC_TOL:
                 return i, jj % k
     return None
 
 
-def _inside_witness(uniq: np.ndarray, arc: SpectralArc) -> WitnessWeights:
+def _inside_witness(arc: SpectralArc) -> WitnessWeights:
     """Convex weights summing (numerically) to zero when 0 is in the hull."""
-    pair = _antipodal_pair(uniq)
+    a = arc.angles
+    pair = _antipodal_pair(a)
     if pair is not None:
         return WitnessWeights(support=pair, weights=_freeze(np.array([0.5, 0.5])))
     # No antipodal pair, so alpha > pi strictly: rotate the arc start to 0
     # and use an interior point with phase in (alpha - pi, pi); the triangle
     # {start, interior, end} contains the origin and the 3-weight linear
     # system p1 z1 + pj zj + pn zn = 0, sum p = 1 has a nonnegative solution.
-    s_idx, e_idx = arc.arc_endpoint_indices()
-    alpha = arc.alpha
-    rel = np.mod(uniq - uniq[s_idx], TAU)
-    lo, hi = alpha - math.pi, math.pi
-    interior = [
-        i for i in range(len(uniq)) if i not in (s_idx, e_idx) and lo < rel[i] < hi
-    ]
+    s_idx, e_idx = arc.start, arc.end
+    rel = np.mod(a - a[s_idx], TAU)
+    lo, hi = arc.alpha - math.pi, math.pi
+    interior = [i for i in range(len(a)) if i not in (s_idx, e_idx) and lo < rel[i] < hi]
     if not interior:
         raise RuntimeError("no interior point for the containing triangle")
     # best-conditioned choice: deepest inside the admissible window
     j_idx = max(interior, key=lambda i: min(rel[i] - lo, hi - rel[i]))
-    zs = np.exp(1j * uniq[[s_idx, j_idx, e_idx]])
+    zs = np.exp(1j * a[[s_idx, j_idx, e_idx]])
     mat = np.vstack([zs.real, zs.imag, np.ones(3)])
     p = np.linalg.solve(mat, np.array([0.0, 0.0, 1.0]))
     p = np.maximum(p, 0.0)
@@ -170,25 +159,20 @@ def _inside_witness(uniq: np.ndarray, arc: SpectralArc) -> WitnessWeights:
 def polygon_distance_to_origin(angles) -> tuple[float, WitnessWeights]:
     """Distance from 0 to the convex hull of the unit-circle points.
 
-    Accepts raw angles or a precomputed :class:`SpectralArc` (indices in
-    the returned witness refer to the deduplicated sorted angle set).
+    Accepts raw angles or a precomputed :class:`SpectralArc`; indices in
+    the returned witness refer to the arc's sorted ``angles``.
     When the hull contains the origin the distance is 0 and the witness
     is an antipodal pair or an acute containing triangle; otherwise the
     minimum is over hull edges, which for circle points are consecutive
     sorted pairs plus the closing edge.
     """
-    if isinstance(angles, SpectralArc):
-        arc = angles
-        uniq = arc.angles
-    else:
-        arc = smallest_covering_arc(angles)
-        uniq = arc.angles
-    k = len(uniq)
+    arc = angles if isinstance(angles, SpectralArc) else smallest_covering_arc(angles)
+    k = len(arc.angles)
     if k == 1:
         return 1.0, WitnessWeights(support=(0,), weights=_freeze(np.array([1.0])))
-    if arc.alpha >= math.pi - ARC_TOL:
-        return 0.0, _inside_witness(uniq, arc)
-    zs = np.exp(1j * uniq)
+    if arc.covers_semicircle:
+        return 0.0, _inside_witness(arc)
+    zs = np.exp(1j * arc.angles)
     best = (math.inf, 0, 0, 0.0)
     for i in range(k if k > 2 else 1):
         j = (i + 1) % k
@@ -205,9 +189,9 @@ def polygon_distance_to_origin(angles) -> tuple[float, WitnessWeights]:
 
 
 def polygon_csv(arc: SpectralArc) -> str:
-    """CSV dump of the eigenangle polygon: theta,re,im,multiplicity."""
+    """CSV dump of the eigenangle polygon, one row per display run: theta,re,im,multiplicity."""
     lines = ["theta,re,im,multiplicity"]
-    for theta, mult in zip(arc.angles, arc.multiplicities):
+    for theta, mult in zip(*angle_runs(arc)):
         z = complex(np.exp(1j * theta))
         lines.append(f"{float(theta)!r},{z.real!r},{z.imag!r},{int(mult)}")
     return "\n".join(lines) + "\n"

@@ -5,9 +5,9 @@ in-process API returns, serialized with full float precision.  JSON is
 the default output; ``--format text`` prints a short human summary.
 
 Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 dimension
-mismatch, 4 not unitary, 5 other error.  Matrix files use
-{"rows": r, "cols": c, "data": [[re, im], ...]} row-major.  The
-UNIMETRIC_SEED environment variable overrides the default seed of
+mismatch or non-square matrix, 4 not unitary, 5 other error.  Matrix
+files use {"rows": r, "cols": c, "data": [[re, im], ...]} row-major.
+The UNIMETRIC_SEED environment variable overrides the default seed of
 randomized subcommands.
 """
 
@@ -25,11 +25,12 @@ from . import circlegeom, pauli, search, subsets
 from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
+    NotSquareError,
     NotUnitaryError,
     PauliParseError,
     UnimetricError,
 )
-from .linalg import matrix_from_json, matrix_to_json, validate_unitary, vector_to_json
+from .linalg import load_matrix, matrix_to_json, validate_unitary, vector_to_json
 from .metrics import distinguishability, sup_distance_with_arc, tensor_distance
 from .numrange import numrange_origin_distance
 
@@ -56,10 +57,8 @@ def _default_seed() -> int:
 
 def _load_matrix(path: str) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return matrix_from_json(obj)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+        return load_matrix(path)
+    except (OSError, ValueError, TypeError) as exc:
         raise _CliError(_EXIT_PARSE, f"cannot read matrix from {path}: {exc}") from exc
 
 
@@ -69,8 +68,9 @@ def _cmd_dist(args) -> tuple[dict, str]:
     result, arc = sup_distance_with_arc(u, v)
     payload = result.to_json()
     payload["alpha"] = arc.alpha
-    payload["eigen_angles"] = [float(a) for a in arc.angles]
-    payload["multiplicities"] = [int(m) for m in arc.multiplicities]
+    angles, mults = circlegeom.angle_runs(arc)
+    payload["eigen_angles"] = [float(a) for a in angles]
+    payload["multiplicities"] = [int(m) for m in mults]
     return payload, f"d = {result.value!r} (arc alpha = {arc.alpha!r})"
 
 
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Metrics and pseudometrics on unitary operators.",
         epilog=(
             "exit codes: 0 ok, 1 selftest failure, 2 parse error, "
-            "3 dimension mismatch, 4 not unitary, 5 other error. "
+            "3 dimension mismatch or non-square matrix, 4 not unitary, 5 other error. "
             "Matrix files: {\"rows\": r, \"cols\": c, \"data\": [[re, im], ...]} row-major. "
             "UNIMETRIC_SEED overrides the default seed."
         ),
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DimensionMismatchError, LengthMismatchError) as exc:
+    except (DimensionMismatchError, LengthMismatchError, NotSquareError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DIMENSION
     except NotUnitaryError as exc:

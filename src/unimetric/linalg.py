@@ -34,6 +34,7 @@ from .errors import (
 TAU = 2.0 * math.pi
 
 UNITARITY_TOL = 1e-10
+DENSITY_TOL = 1e-10
 EIGEN_TOL = 1e-8
 # relative threshold for clustering H1 eigenvalues before the H2 pass
 _CLUSTER_TOL = 1e-8
@@ -47,6 +48,12 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise MalformedInputError("matrix entries must be finite")
     return a
+
+
+def reduce_angles(a) -> np.ndarray:
+    """Angles reduced to [0, 2pi); np.mod alone rounds a tiny negative angle up to 2pi."""
+    a = np.mod(a, TAU)
+    return np.where(a == TAU, 0.0, a)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -89,28 +96,28 @@ class DensityState:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, m, tol: float = 1e-10) -> "DensityState":
+    def from_matrix(cls, m) -> "DensityState":
         a = as_matrix(m)
         if a.shape[0] != a.shape[1]:
             raise NotSquareError(f"density matrix must be square, got {a.shape}")
-        if np.abs(a - a.conj().T).max() > tol:
+        if np.abs(a - a.conj().T).max() > DENSITY_TOL:
             raise NotDensityError("matrix is not Hermitian within tolerance")
         tr = a.trace()
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > DENSITY_TOL:
             raise NotDensityError(f"trace is {tr:.12g}, expected 1")
         vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-        if vals.min() < -tol:
-            raise NotDensityError(f"minimum eigenvalue {vals.min():.3e} < -{tol:.1e}")
+        if vals.min() < -DENSITY_TOL:
+            raise NotDensityError(f"minimum eigenvalue {vals.min():.3e} < -{DENSITY_TOL:.1e}")
         pure = None
-        if vals[-1] >= 1.0 - tol:
+        if vals[-1] >= 1.0 - DENSITY_TOL:
             pure = _freeze(vecs[:, -1])
         return cls(matrix=_freeze(a), pure_vector=pure)
 
     @classmethod
-    def pure(cls, vector, tol: float = 1e-10) -> "DensityState":
+    def pure(cls, vector) -> "DensityState":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > tol:
+        if abs(nrm - 1.0) > DENSITY_TOL:
             raise NotDensityError(f"pure-state vector has norm {nrm:.12g}")
         return cls(matrix=_freeze(np.outer(v, v.conj())), pure_vector=_freeze(v))
 
@@ -144,22 +151,22 @@ def _normal_unitary_eig(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vecs[:, sl] = block @ sub
     # Rayleigh quotients give the eigenvalues; phases reduced to [0, 2pi)
     ray = np.einsum("ij,ik,kj->j", vecs.conj(), w, vecs)
-    angles = np.mod(np.arctan2(ray.imag, ray.real), TAU)
+    angles = reduce_angles(np.arctan2(ray.imag, ray.real))
     order = np.argsort(angles, kind="stable")
     return angles[order], vecs[:, order]
 
 
-def unitary_matrix(u, tol: float = UNITARITY_TOL) -> np.ndarray:
+def unitary_matrix(u) -> np.ndarray:
     """Matrix of a UnitaryOperator as is, or a raw matrix checked for unitarity.
 
-    The check is max |U^dag U - I| <= ``tol``; no eigensolve.
+    The check is max |U^dag U - I| <= ``UNITARITY_TOL``; no eigensolve.
 
     Raises
     ------
     NotSquareError
         If the input is not square.
     NotUnitaryError
-        If max |U^dag U - I| exceeds ``tol``.
+        If max |U^dag U - I| exceeds ``UNITARITY_TOL``.
     """
     if isinstance(u, UnitaryOperator):
         return u.matrix
@@ -168,8 +175,8 @@ def unitary_matrix(u, tol: float = UNITARITY_TOL) -> np.ndarray:
     if n != k:
         raise NotSquareError(f"unitary must be square, got {a.shape}")
     dev = float(np.abs(a.conj().T @ a - np.eye(n)).max())
-    if dev > tol:
-        raise NotUnitaryError(dev, tol)
+    if dev > UNITARITY_TOL:
+        raise NotUnitaryError(dev, UNITARITY_TOL)
     return a
 
 
@@ -186,9 +193,9 @@ def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
     )
 
 
-def validate_unitary(m, tol: float = UNITARITY_TOL) -> UnitaryOperator:
+def validate_unitary(m) -> UnitaryOperator:
     """Check unitarity as :func:`unitary_matrix` does, then decompose."""
-    return decompose_unitary(unitary_matrix(m, tol))
+    return decompose_unitary(unitary_matrix(m))
 
 
 def operator_matrix(u) -> np.ndarray:

@@ -5,7 +5,8 @@ distance between U rho U' and V rho V' over all states rho.  Convexity
 puts the supremum on pure states, where it reduces to
 sqrt(1 - |<psi|U'V|psi>|^2), and the spectrum of U'V gives the closed
 form: d = sin(alpha/2) for covering arc alpha < pi, else 1.  The value
-is a metric on the projective unitary group (zero exactly on U = cV).
+is a metric on the projective unitary group: zero on U = cV, where the
+arc of U'V is no longer than the rounding of its angles.
 
 Per-state pseudometrics (:func:`d_psi`, :func:`d_rho`), the Schatten-p
 rescaling, and the tensor composition rule live here too.
@@ -27,6 +28,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import (
+    TAU,
     DensityState,
     decompose_unitary,
     operator_matrix,
@@ -37,6 +39,9 @@ from .linalg import (
 
 NORM_TOL = 1e-10
 RESULT_TOL = 1e-9
+# The computed angles of one eigenvalue of an n x n W lie up to 2 ulp(2pi)
+# apart (Haar U, V = cU, n = 2..128); an arc of at most 2n ulp(2pi) reads d = 0.
+ROUNDING_ARC_ULPS = 2
 
 Method = Literal["closed_form", "optimization", "oracle"]
 
@@ -141,8 +146,9 @@ def sup_distance_with_arc(u, v) -> tuple[MetricResult, circlegeom.SpectralArc]:
     """Closed-form d(U, V) with a maximizing pure state, and the arc of U'V.
 
     The operands are checked once; W = U'V is eigensolved once and not
-    re-judged at the operands' unitarity tolerance.  Arguments are
-    reordered by a deterministic byte comparison before forming W, so
+    re-judged at the operands' unitarity tolerance.  W's angles are sorted
+    in [0, 2pi), so the arc's indices address W's eigenvectors.  Arguments
+    are reordered by a deterministic byte comparison before forming W, so
     d(U, V) and d(V, U) run the identical computation and return
     bitwise-equal values; when the order flips, the reported arc is
     rebuilt from the mirrored angles of V'U, so it describes U'V.
@@ -153,22 +159,17 @@ def sup_distance_with_arc(u, v) -> tuple[MetricResult, circlegeom.SpectralArc]:
         mu, mv = mv, mu
     wop = decompose_unitary(mu.conj().T @ mv)
     arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
-    value = circlegeom.distance_from_arc(arc)
-    vecs = wop.eigen_vectors
+    rounding = arc.alpha <= ROUNDING_ARC_ULPS * wop.dim * math.ulp(TAU)
+    value = 0.0 if rounding else circlegeom.distance_from_arc(arc)
     if value >= 1.0:
         _, witness = circlegeom.polygon_distance_to_origin(arc)
-        psi = np.zeros(wop.dim, dtype=complex)
-        for idx, w in zip(witness.support, witness.weights):
-            psi += math.sqrt(w) * vecs[:, arc.anchors[idx]]
+        support, weights = list(witness.support), witness.weights
     else:
-        s_idx, e_idx = arc.arc_endpoint_indices()
-        if s_idx == e_idx:
-            psi = vecs[:, arc.anchors[s_idx]].copy()
-        else:
-            psi = (vecs[:, arc.anchors[s_idx]] + vecs[:, arc.anchors[e_idx]]) / math.sqrt(2.0)
+        support, weights = [arc.start, arc.end], np.array([0.5, 0.5])
+    psi = wop.eigen_vectors[:, support] @ np.sqrt(weights)
     psi = psi / np.linalg.norm(psi)
     if swapped:
-        arc = circlegeom.smallest_covering_arc(2 * math.pi - wop.eigen_angles)
+        arc = circlegeom.smallest_covering_arc(TAU - wop.eigen_angles)
     return MetricResult(value=value, maximizer=psi, method="closed_form"), arc
 
 
@@ -228,10 +229,10 @@ def check_sandwich(u, v, psi) -> SandwichBounds:
     return SandwichBounds(lower=lower, mid=mid, upper=upper, holds=holds)
 
 
-def distinguishability(u, v, tol: float = RESULT_TOL) -> DistinguishabilityResult:
+def distinguishability(u, v) -> DistinguishabilityResult:
     """Decide one-shot distinguishability; d(U, V) = 1 is the criterion."""
     result, arc = sup_distance_with_arc(u, v)
-    if result.value >= 1.0 - tol:
+    if result.value >= 1.0 - RESULT_TOL:
         alpha_vec = result.maximizer
         mu, mv = operator_matrix(u), operator_matrix(v)
         residual = float(abs(np.vdot(mu @ alpha_vec, mv @ alpha_vec)))

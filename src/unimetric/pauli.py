@@ -37,6 +37,8 @@ _LETTER_TO_BITS = {v: k for k, v in _BITS_TO_LETTER.items()}
 _DENSE_QUBIT_LIMIT = 8
 _FOURTH_ROOTS = (1 + 0j, 1j, -1 + 0j, -1j)
 _CHARACTER_SNAP_TOL = 1e-8
+# subgroups larger than this keep no element list
+CLOSURE_LIMIT = 2**16
 
 
 def _phase_power_table() -> dict[tuple[int, int, int, int], int]:
@@ -195,7 +197,7 @@ class PauliSubgroup:
         return self.generators[0].num_qubits
 
     @classmethod
-    def from_generators(cls, generators, closure_limit: int = 2**16) -> "PauliSubgroup":
+    def from_generators(cls, generators) -> "PauliSubgroup":
         gens = tuple(
             g if isinstance(g, PauliElement) else parse_pauli(g) for g in generators
         )
@@ -224,7 +226,7 @@ class PauliSubgroup:
                     if key not in seen:
                         seen[key] = p
                         nxt.append(p)
-                        if len(seen) > closure_limit:
+                        if len(seen) > CLOSURE_LIMIT:
                             overflow = True
             frontier = nxt
         elements = None if overflow else tuple(seen.values())

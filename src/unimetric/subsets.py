@@ -43,6 +43,8 @@ from .numrange import numrange_origin_distance
 COMMUTATION_TOL = 1e-8
 _FACE_TOL = 1e-10
 _SUBSET_RESULT_TOL = 1e-6
+# an alternation that lowers the objective by less than this ends the run
+ALTERNATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,7 @@ def alternating_product_minimization(
     dim_b: int,
     alpha0: np.ndarray,
     beta0: np.ndarray,
-    max_alternations: int = 200,
-    tol: float = 1e-10,
+    max_alternations: int,
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Minimize |<a x b|W|a x b>| by exact single-factor sweeps.
 
@@ -187,7 +188,7 @@ def alternating_product_minimization(
         if cand <= obj:
             beta, obj = wit, cand
         history.append(obj)
-        if prev - obj < tol or obj < 1e-13:
+        if prev - obj < ALTERNATION_TOL or obj < 1e-13:
             break
     return alpha, beta, obj, history
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unimetric.circlegeom import (
+    angle_runs,
     distance_from_arc,
     polygon_csv,
     polygon_distance_to_origin,
@@ -24,7 +25,9 @@ angle_lists = st.lists(
 
 class TestSmallestCoveringArc:
     def test_single_point(self):
-        assert smallest_covering_arc([0.3]).alpha == 0.0
+        arc = smallest_covering_arc([0.3])
+        assert arc.alpha == 0.0
+        assert (arc.start, arc.end) == (0, 0)
 
     def test_two_points(self):
         arc = smallest_covering_arc([0.0, math.pi / 2])
@@ -43,13 +46,24 @@ class TestSmallestCoveringArc:
 
     def test_duplicates_merge(self):
         arc = smallest_covering_arc([0.1, 0.1 + 1e-12, 2.0])
-        assert len(arc.angles) == 2
-        assert arc.multiplicities.tolist() == [2, 1]
+        assert len(arc.angles) == 3
+        angles, mults = angle_runs(arc)
+        assert angles.tolist() == [0.1, 2.0]
+        assert mults.tolist() == [2, 1]
 
     def test_wraparound_merge(self):
         arc = smallest_covering_arc([1e-12, TAU - 1e-12])
-        assert len(arc.angles) == 1
-        assert arc.alpha == 0.0
+        assert len(arc.angles) == 2
+        # the raw arc across 0, with the rounding of TAU -/+ 1e-12
+        assert arc.alpha == pytest.approx(2.0002e-12, abs=1e-15)
+        assert (arc.start, arc.end) == (1, 0)
+        angles, mults = angle_runs(arc)
+        assert angles.tolist() == [1e-12] and mults.tolist() == [2]
+
+    def test_tiny_negative_angle_reduces_to_zero(self):
+        arc = smallest_covering_arc([1.0, -1e-17])
+        assert arc.angles.tolist() == [0.0, 1.0]
+        assert (arc.start, arc.end) == (0, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -57,8 +71,7 @@ class TestSmallestCoveringArc:
 
     def test_endpoints(self):
         arc = smallest_covering_arc([0.5, 1.0, 2.0])
-        s, e = arc.arc_endpoint_indices()
-        assert (arc.angles[s], arc.angles[e]) == (0.5, 2.0)
+        assert (arc.angles[arc.start], arc.angles[arc.end]) == (0.5, 2.0)
 
 
 class TestDistanceFromArc:
@@ -102,16 +115,19 @@ class TestPolygonDistance:
 
     @settings(max_examples=200, deadline=None)
     @given(angle_lists)
+    @example([0.0, 1e-8])
+    @example([2.5, 2.5])
     def test_consistency_with_arc_formula(self, angles):
-        # sin(alpha/2) and sqrt(1 - dist^2) come from different code paths
+        # the arc and the hull come from different code paths; dist =
+        # cos(alpha/2) stays well conditioned where sqrt(1 - dist^2) does not
         arc = smallest_covering_arc(angles)
         dist, _ = polygon_distance_to_origin(angles)
-        assert distance_from_arc(arc) == pytest.approx(
-            math.sqrt(max(0.0, 1.0 - dist * dist)), abs=1e-9
-        )
+        expected = 0.0 if arc.alpha >= math.pi else math.cos(arc.alpha / 2)
+        assert dist == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(angle_lists, st.floats(min_value=-7.0, max_value=7.0))
+    @example([0.0, 1e-9], 1.0)
     def test_rotation_invariance(self, angles, shift):
         base_arc = smallest_covering_arc(angles)
         rot_arc = smallest_covering_arc([a + shift for a in angles])
@@ -122,6 +138,8 @@ class TestPolygonDistance:
 
     @settings(max_examples=150, deadline=None)
     @given(angle_lists, st.floats(min_value=0.0, max_value=6.28))
+    @example([4.0, 1e-10], 0.0)
+    @example([1.0, -5.84e-12], 0.0)
     def test_monotone_under_insertion(self, angles, extra):
         arc0 = smallest_covering_arc(angles)
         arc1 = smallest_covering_arc(list(angles) + [extra])

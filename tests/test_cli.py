@@ -63,6 +63,14 @@ class TestDist:
         assert cli.main(["dist", matrix_files["I2"], matrix_files["I3"]]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dist", "numrange"])
+    def test_non_square_exit_3(self, command, matrix_files, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        save_matrix(path, np.ones((2, 3)))
+        argv = [command, str(path)] + ([matrix_files["I2"]] if command == "dist" else [])
+        assert cli.main(argv) == 3
+        assert "square" in capsys.readouterr().err
+
     def test_not_unitary_exit_4(self, matrix_files, capsys):
         assert cli.main(["dist", matrix_files["I2"], matrix_files["bad"]]) == 4
 

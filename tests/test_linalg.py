@@ -49,6 +49,11 @@ class TestValidateUnitary:
         assert np.all(np.diff(u.eigen_angles) >= 0)
         assert np.all(u.eigen_angles >= 0) and np.all(u.eigen_angles < 2 * math.pi)
 
+    def test_tiny_negative_phase_reduces_to_zero(self):
+        # np.mod rounds the phase -1e-17 up to exactly 2pi
+        u = validate_unitary(np.diag(np.exp(1j * np.array([-1e-17, 1.0, 2.0]))))
+        assert u.eigen_angles.tolist() == [0.0, 1.0, 2.0]
+
     def test_not_square(self):
         with pytest.raises(NotSquareError):
             validate_unitary(np.ones((2, 3)))

@@ -119,6 +119,28 @@ class TestSupDistance:
         assert res.value == 1.0
         assert abs(np.vdot(res.maximizer, CNOT @ res.maximizer)) <= 1e-8
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_maximizer_with_phase_near_2pi(self, order):
+        # W's angles must be sorted in [0, 2pi) for the arc's indices to
+        # address its eigenvectors; -1e-17 used to reduce to exactly 2pi
+        w = np.diag(np.exp(1j * np.array([-1e-17, 1.0, 2.0])))
+        u, v = (np.eye(3), w) if order == 0 else (w, np.eye(3))
+        res = sup_distance(u, v)
+        assert res.value == pytest.approx(math.sin(1.0), abs=1e-12)
+        assert d_psi(u, v, res.maximizer) == pytest.approx(res.value, abs=1e-12)
+
+    def test_closed_form_never_groups_angles(self, monkeypatch):
+        from unimetric import circlegeom
+
+        def fail(*args, **kwargs):
+            raise AssertionError("circular_runs called")
+
+        monkeypatch.setattr(circlegeom, "circular_runs", fail)
+        u, v = haar(3, 40), haar(3, 41)
+        sup_distance(u, v)
+        distinguishability(u, v)
+        distinguishability(np.eye(4), CNOT)
+
     def test_symmetry_exact(self):
         u, v = haar(4, 21), haar(4, 22)
         assert sup_distance(u, v).value == sup_distance(v, u).value

@@ -137,7 +137,7 @@ class TestSeparableDistance:
         b0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a0 /= np.linalg.norm(a0)
         b0 /= np.linalg.norm(b0)
-        _, _, _, history = alternating_product_minimization(w, 2, 2, a0, b0)
+        _, _, _, history = alternating_product_minimization(w, 2, 2, a0, b0, 200)
         diffs = np.diff(history)
         assert np.all(diffs <= 1e-12)
 
