@@ -38,7 +38,7 @@ from .metrics import (
     sup_distance,
     tensor_distance,
 )
-from .numrange import NumericalRangeQuery, numrange_origin_distance
+from .numrange import numrange_origin_distance
 from .pauli import (
     PauliElement,
     PauliSubgroup,
@@ -64,7 +64,6 @@ __all__ = [
     "DistinguishabilityResult",
     "MetricResult",
     "NullSpaceResult",
-    "NumericalRangeQuery",
     "PauliElement",
     "PauliSubgroup",
     "SearchProblem",

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EmptyInputError,
     InvalidPError,
     MalformedInputError,
     NotDensityError,
@@ -41,10 +42,12 @@ _CLUSTER_TOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a finite, 2-d complex array."""
+    """Coerce input to a finite, nonempty, 2-d complex array."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got ndim={a.ndim}")
+    if a.size == 0:
+        raise EmptyInputError(f"matrix has no entries, shape {a.shape}")
     if not np.isfinite(a).all():
         raise MalformedInputError("matrix entries must be finite")
     return a
@@ -214,8 +217,6 @@ def schatten_norm(m, p: float) -> float:
         raise InvalidPError(f"p must be >= 1 or inf, got {p}")
     a = as_matrix(m)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0:
-        return 0.0
     if p == math.inf:
         return float(sv.max())
     if p == 1.0:

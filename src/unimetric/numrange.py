@@ -16,8 +16,8 @@ With K_phi = sin(phi) HA - cos(phi) HB = -dA_phi/dphi and the eigenpairs
 so one Hermitian eigensolve gives g and both derivatives.  g is positive
 on at most one arc, and there g'' <= -g < 0.
 
-* Bracket: one batched eigensolve over ceil(phi_samples / 2) angles in
-  [0, pi) gives g at phi_samples angles of the whole circle, because
+* Bracket: one batched eigensolve over 32 angles in [0, pi) gives g at
+  64 angles of the whole circle, because
   lambda_min(A_{phi+pi}) = -lambda_max(A_phi).  |g'| is at most the
   numerical radius w, so the sample nearest a positive arc reads above
   -w * step / 2 even when the arc falls between samples.
@@ -36,16 +36,20 @@ on at most one arc, and there g'' <= -g < 0.
   within 1e-13 of the best value found.  A candidate is rejected as soon
   as g'' <= -g <= w shows that g < 0 on its bracket, and a chord through
   0 shows that 0 lies in F.
-* Zero witness: when 0 lies in F, the bracket's eigenvectors give at each
-  angle a state that mixes the min and max eigenvectors of A_phi so that
-  <psi|A_phi|psi> = 0, with the relative phase that brings the transverse
-  part y = <psi|K_phi|psi> closest to 0.  y(phi + pi) = -y(phi), so y
-  changes sign on [0, pi].  Where it does, the 2x2 compression onto the
-  two states on either side has a numerical range holding both their
-  form values and, usually, 0, which it solves exactly; when it does
-  not, Illinois regula falsi on y narrows the pair.  A witness that misses
-  |<psi|M|psi>| <= 1e-8 is solved once more on a doubled grid, and
-  NumericalRangeError is raised if that misses too.
+* Zero witness: when 0 lies in F, the bracket's eigenvectors are already
+  support states: the min eigenvector at phi, and the max eigenvector,
+  which supports direction phi + pi.  With every state the refinement
+  evaluated, their points z = <x|M|x>, sorted by angle, trace the
+  boundary of F in order and span a convex polygon inside F (Carden's
+  inverse field-of-values construction, R. Carden, Inverse Problems 25,
+  2009).  The range of a 2x2 compression holds the segment between the
+  points of its two states (Toeplitz-Hausdorff), and a point of that
+  range is solved exactly on the Bloch sphere.  When 0 lies in the
+  polygon, the ray from the farthest vertex z_a through 0 leaves it at a
+  point b of an edge [z_k, z_k+1] beyond 0.  Otherwise a vertex within
+  1e-8 of 0 is the witness, or b is the polygon's point nearest 0.  b is
+  solved on span(x_k, x_k+1), then 0 on span(x_a, x_b).  A witness that
+  misses |<psi|M|psi>| <= 1e-8 raises NumericalRangeError.
 
 Needed because compressions of unitaries onto subspaces are no longer
 normal, so the circle geometry of the full-space metric does not apply.
@@ -54,42 +58,21 @@ normal, so the circle geometry of the full-space metric does not apply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotSquareError, NumericalRangeError, OutOfRangeError
+from .errors import NotSquareError, NumericalRangeError
 from .linalg import as_matrix
 
 _ZERO_TOL = 1e-12
 _WITNESS_TOL = 1e-8
 _BOUND_TOL = 1e-13
-_FALSI_ITERS = 64
-
-
-@dataclass(frozen=True)
-class NumericalRangeQuery:
-    """Input matrix plus solver knobs.
-
-    ``phi_samples`` is the number of bracket angles on the whole circle;
-    half of them are eigensolved, in one batch.  ``refine_iters`` caps the
-    eigensolves spent refining one candidate maximum.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    phi_samples: int = 64
-    refine_iters: int = 40
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise NotSquareError(f"numerical range needs a square matrix, got {m.shape}")
-        if self.phi_samples < 8:
-            raise OutOfRangeError("phi_samples must be at least 8")
-        if self.refine_iters < 0:
-            raise OutOfRangeError("refine_iters must be nonnegative")
-        object.__setattr__(self, "matrix", m)
+# bracket angles on the whole circle; half of them are eigensolved, in one batch
+_PHI_SAMPLES = 64
+# steps of one Newton iteration: refining a candidate maximum (one
+# eigensolve each), or projecting onto the range of a 2x2 compression
+_NEWTON_STEPS = 40
 
 
 class _Point(NamedTuple):
@@ -185,14 +168,15 @@ def _next_angle(x: _Point, a: _Point, b: _Point, cross: float | None) -> float:
 
 
 def _refine(
-    ha: np.ndarray, hb: np.ndarray, a: _Point, b: _Point, iters: int, radius: float
+    ha: np.ndarray, hb: np.ndarray, a: _Point, b: _Point, radius: float, seen: list
 ) -> tuple[_Point, float]:
     """Highest g found in [a.phi, b.phi], whose ends hold g' > 0 and g' < 0,
-    and an upper bound on g over the whole circle."""
+    and an upper bound on g over the whole circle.  Every point evaluated
+    is appended to ``seen``."""
     best = x = a if a.g >= b.g else b
     tol = _BOUND_TOL * max(1.0, radius)
     upper = _chord_bound(a, b)
-    for _ in range(iters):
+    for _ in range(_NEWTON_STEPS):
         width = b.phi - a.phi
         tangent, cross = _tangent_bound(a, b)
         upper = min(upper, _chord_bound(a, b))
@@ -207,6 +191,7 @@ def _refine(
         if not a.phi < phi < b.phi:
             break
         x = _evaluate(ha, hb, phi)
+        seen.append(x)
         if x.g > best.g:
             best = x
         if x.dg > 0.0:
@@ -216,7 +201,7 @@ def _refine(
     return best, upper
 
 
-def _bloch_state(n: np.ndarray) -> np.ndarray:
+def _bloch_state(n) -> np.ndarray:
     """Unit 2-vector whose projector has the given Bloch vector."""
     theta = math.acos(min(1.0, max(-1.0, n[2])))
     phi = math.atan2(n[1], n[0])
@@ -226,43 +211,85 @@ def _bloch_state(n: np.ndarray) -> np.ndarray:
     )
 
 
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
-    """Unit x with x' C x = 0 for a 2x2 matrix whose range contains 0.
+    """Unit x with x' C x = 0 for a 2x2 matrix whose range contains 0, or
+    with x' C x the point of the range nearest 0 when it does not.
 
     In Bloch coordinates both Hermitian parts are affine:
     x'Hx = h0 + h.n with n the Bloch vector, so the zero set is the
-    intersection of two planes with the unit sphere; solved exactly.
+    intersection of two planes with the unit sphere.  Rotating the two
+    equations gives orthogonal normals g1, g2 with |g1| = s1 >= |g2| = s2,
+    and in the frame v1 = g1/s1, v2, v3 = v1 x v2 they read s1 y1 = r1,
+    s2 y2 = r2: solved exactly when y1^2 + y2^2 <= 1, else projected onto
+    the ellipse {(s1 y1, s2 y2) : |y| = 1} by Newton on the multiplier mu
+    of y_i = s_i r_i / (s_i^2 + mu).  Parallel planes (s2 = 0, or 0 up to
+    rounding) need no threshold.  Plain floats: at this size numpy costs
+    more than the arithmetic.
     """
-    h = (c + c.conj().T) / 2
-    k = (c - c.conj().T) / 2j
-    def coeffs(a):
-        a0 = a.trace().real / 2
-        vec = np.array(
-            [a[0, 1].real, -a[0, 1].imag, (a[0, 0].real - a[1, 1].real) / 2]
-        )
-        return a0, vec
-    h0, hv = coeffs(h)
-    k0, kv = coeffs(k)
-    gram = np.array([[hv @ hv, hv @ kv], [hv @ kv, kv @ kv]])
-    rhs = np.array([-h0, -k0])
-    ab, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    n_plane = ab[0] * hv + ab[1] * kv
-    u = np.cross(hv, kv)
-    if np.linalg.norm(u) < 1e-13:
-        # planes parallel (or one trivial): any direction orthogonal to both
-        ref = hv if hv @ hv >= kv @ kv else kv
-        if ref @ ref < 1e-26:
-            u = np.array([0.0, 0.0, 1.0])
-        else:
-            b = np.eye(3)[int(np.argmin(np.abs(ref)))]
-            u = b - (b @ ref) * ref / (ref @ ref)
-    u = u / np.linalg.norm(u)
-    rad = math.sqrt(max(0.0, 1.0 - float(n_plane @ n_plane)))
-    n = n_plane + rad * u
-    nn = np.linalg.norm(n)
-    if nn > 0:
-        n = n / nn
-    return _bloch_state(n)
+    (c00, c01), (c10, c11) = c.tolist()
+    # H = (C + C')/2 and K = (C - C')/2i from the entries of C
+    sym, skew = c01 + c10.conjugate(), c01 - c10.conjugate()
+    h0, k0 = (c00.real + c11.real) / 2, (c00.imag + c11.imag) / 2
+    h = (sym.real / 2, -sym.imag / 2, (c00.real - c11.real) / 2)
+    k = (skew.imag / 2, skew.real / 2, (c00.imag - c11.imag) / 2)
+    w = 0.5 * math.atan2(2.0 * _dot(h, k), _dot(h, h) - _dot(k, k))
+    cw, sw = math.cos(w), math.sin(w)
+    g1 = [cw * x + sw * y for x, y in zip(h, k)]
+    g2 = [cw * y - sw * x for x, y in zip(h, k)]
+    r1, r2 = -(cw * h0 + sw * k0), sw * h0 - cw * k0
+    s1 = math.sqrt(_dot(g1, g1))
+    if s1 == 0.0:
+        # C is scalar: every state has the same form value
+        return np.array([1.0, 0.0], dtype=complex)
+    v1 = [x / s1 for x in g1]
+    a = _dot(g2, v1)
+    v2 = [x - a * y for x, y in zip(g2, v1)]
+    s2 = math.sqrt(_dot(v2, v2))
+    if s2 == 0.0:
+        j = min(range(3), key=lambda i: abs(v1[i]))
+        v2 = [float(i == j) - v1[j] * x for i, x in enumerate(v1)]
+    norm2 = math.sqrt(_dot(v2, v2))
+    v2 = [x / norm2 for x in v2]
+    v3 = (
+        v1[1] * v2[2] - v1[2] * v2[1],
+        v1[2] * v2[0] - v1[0] * v2[2],
+        v1[0] * v2[1] - v1[1] * v2[0],
+    )
+    mu = 0.0
+    for _ in range(_NEWTON_STEPS):
+        y1 = s1 * r1 / (s1 * s1 + mu)
+        y2 = s2 * r2 / (s2 * s2 + mu) if s2 > 0.0 else 0.0
+        norm = math.hypot(y1, y2)
+        if norm <= 1.0:
+            break
+        slope = y1 * y1 / (s1 * s1 + mu) + (y2 * y2 / (s2 * s2 + mu) if s2 > 0.0 else 0.0)
+        step = (norm - 1.0) * norm * norm / slope
+        if mu + step == mu:
+            break
+        mu += step
+    if norm > 1.0:
+        y1, y2 = y1 / norm, y2 / norm
+    y3 = math.sqrt(max(0.0, 1.0 - y1 * y1 - y2 * y2))
+    return _bloch_state([y1 * p + y2 * q + y3 * r for p, q, r in zip(v1, v2, v3)])
+
+
+def _span_state(m: np.ndarray, x: np.ndarray, y: np.ndarray, target: complex) -> np.ndarray:
+    """Unit state of span(x, y) with <psi|M|psi> = target, or nearest it
+    when the target lies outside the range of that 2x2 compression; every
+    point between <x|M|x> and <y|M|y> lies inside (Toeplitz-Hausdorff)."""
+    q = y - (x.conj() @ y) * x
+    nrm = math.sqrt((q.conj() @ q).real)
+    if nrm <= _ZERO_TOL:
+        return x
+    basis = np.array([x, q / nrm])
+    c = basis.conj() @ m @ basis.T
+    c[0, 0] -= target
+    c[1, 1] -= target
+    return _quadratic_form_zero_2x2(c) @ basis
 
 
 def _mixing_state(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -276,101 +303,41 @@ def _mixing_state(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return math.cos(t) * vecs[:, 0] + math.sin(t) * vecs[:, -1]
 
 
-def _balanced_states(
-    vals: np.ndarray, vecs: np.ndarray, kphi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """States psi with <psi|A_phi|psi> = 0 and their transverse part
-    y = <psi|K_phi|psi>, batched over leading axes.
-
-    psi = c psi_min + s e^{i theta} psi_max with c^2 lambda_min + s^2
-    lambda_max = 0.  theta moves y over [base - reach, base + reach], and
-    is chosen to bring y closest to 0.  A sign-definite A_phi (0 on the
-    boundary of F) takes the eigenvector itself.
-    """
-    lo, hi = vals[..., 0], vals[..., -1]
-    v1, vn = vecs[..., :, 0], vecs[..., :, -1]
-    spread = np.where(hi > lo, hi - lo, 1.0)
-    c2 = np.where(lo >= -_ZERO_TOL, 1.0, np.where(hi <= _ZERO_TOL, 0.0, hi / spread))
-    c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
-    k11 = np.einsum("...i,...ij,...j->...", v1.conj(), kphi, v1).real
-    knn = np.einsum("...i,...ij,...j->...", vn.conj(), kphi, vn).real
-    k1n = np.einsum("...i,...ij,...j->...", v1.conj(), kphi, vn)
-    base = c2 * k11 + (1.0 - c2) * knn
-    reach = 2.0 * c * s * np.abs(k1n)
-    u = np.clip(np.divide(-base, reach, out=np.zeros_like(base), where=reach > 0.0), -1.0, 1.0)
-    phase = np.exp(1j * (np.arccos(u) - np.angle(k1n)))
-    psi = c[..., None] * v1 + (s * phase)[..., None] * vn
-    return psi, base + reach * u
-
-
 def _form_residual(m: np.ndarray, psi: np.ndarray) -> float:
     return abs(complex(psi.conj() @ m @ psi))
 
 
-def _compressed_zero(m: np.ndarray, q1: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Zero of the form on the 2x2 compression onto span(q1, other)."""
-    q2 = other - (q1.conj() @ other) * q1
-    q2 = q2 / np.linalg.norm(q2)
-    basis = np.column_stack([q1, q2])
-    return basis @ _quadratic_form_zero_2x2(basis.conj().T @ m @ basis)
+def _polygon_witness(m: np.ndarray, z: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Zero witness from support points z_k = <x_k|M|x_k> in boundary order.
 
-
-def _zero_between(m, ha, hb, lo, hi) -> np.ndarray:
-    """Zero witness between two (phi, y, psi) ends where y changes sign.
-
-    Each round first tries the 2x2 compression onto the two end states,
-    whose range holds both their form values, on either side of 0; then
-    one Illinois regula falsi step on y narrows the ends.  Returns the
-    state with the smallest residual found.
+    The ray from the farthest vertex z_a through 0 crosses the edges whose
+    ends lie on either side of the line through z_a and 0.  A crossing
+    beyond 0 is a point b of the polygon with 0 between z_a and b.  When
+    there is none, 0 is outside the polygon: a vertex within
+    ``_WITNESS_TOL`` of 0 is the witness, or b is the point nearest 0.  b
+    is solved on the span of its edge's states, then 0 on span(x_a, x_b),
+    whose range holds the segment from z_a to b.
     """
-    (pa, ya, sa), (pb, yb, sb) = lo, hi
-    best = min(sa, sb, key=lambda psi: _form_residual(m, psi))
-    for _ in range(_FALSI_ITERS):
-        if abs(complex(sa.conj() @ sb)) < 1.0 - 1e-8:
-            psi = _compressed_zero(m, sa, sb)
-            if _form_residual(m, psi) < _form_residual(m, best):
-                best = psi
-        if _form_residual(m, best) <= _WITNESS_TOL or ya == yb:
-            break
-        phi = (pa * yb - pb * ya) / (yb - ya)
-        if not min(pa, pb) < phi < max(pa, pb):
-            break
-        vals, vecs = np.linalg.eigh(math.cos(phi) * ha + math.sin(phi) * hb)
-        psi, y = _balanced_states(vals, vecs, _kphi(ha, hb, phi))
-        if _form_residual(m, psi) < _form_residual(m, best):
-            best = psi
-        y = float(y)
-        if y * yb < 0.0:
-            pa, ya, sa = pb, yb, sb
-        else:
-            ya /= 2.0
-        pb, yb, sb = phi, y, psi
-    return best
-
-
-def _zero_witness(
-    m: np.ndarray, ha: np.ndarray, hb: np.ndarray, phis, vals, vecs
-) -> np.ndarray:
-    """State with |<psi|M|psi>| as small as found, for 0 in F."""
-    if m.shape[0] == 2:
-        return _quadratic_form_zero_2x2(m)
-    kphis = np.sin(phis)[:, None, None] * ha - np.cos(phis)[:, None, None] * hb
-    psis, ys = _balanced_states(vals, vecs, kphis)
-    resid = np.abs(np.einsum("bi,ij,bj->b", psis.conj(), m, psis))
-    best = psis[int(np.argmin(resid))]
-    if resid.min() <= _WITNESS_TOL:
-        return best
-    # y(pi) = -y(0) closes the half circle
-    ends = list(zip(np.append(phis, math.pi), np.append(ys, -ys[0]), [*psis, psis[0]]))
-    flips = [j for j in range(len(phis)) if ends[j][1] * ends[j + 1][1] <= 0.0]
-    flips.sort(key=lambda j: abs(ends[j][1]) + abs(ends[j + 1][1]))
-    for j in flips:
-        psi = _zero_between(m, ha, hb, ends[j], ends[j + 1])
-        if _form_residual(m, psi) < _form_residual(m, best):
-            best = psi
-        if _form_residual(m, best) <= _WITNESS_TOL:
-            break
-    return best
+    k1 = (np.arange(z.size) + 1) % z.size
+    far = int(np.argmax(np.abs(z)))
+    # coordinates across and along z_a, times |z_a|
+    rot = z * z[far].conjugate()
+    across, along = rot.imag, rot.real
+    across1 = across[k1]
+    sides = (across * across1 <= 0.0) & (across != across1)
+    t = np.divide(across, across - across1, out=np.zeros(z.size), where=sides)
+    exits = np.where(sides, along + t * (along[k1] - along), np.inf)
+    k = int(np.argmin(exits))
+    if exits[k] >= 0.0:
+        near = int(np.argmin(np.abs(z)))
+        if abs(z[near]) <= _WITNESS_TOL:
+            return states[near]
+        d = z[k1] - z
+        dd = (d.conj() * d).real
+        t = np.clip(np.divide(-(d.conj() * z).real, dd, out=np.zeros(z.size), where=dd > 0.0), 0.0, 1.0)
+        k = int(np.argmin(np.abs(z + t * d)))
+    b = z[k] + t[k] * (z[k1[k]] - z[k])
+    return _span_state(m, states[far], _span_state(m, states[k], states[k1[k]], b), 0.0)
 
 
 def _positive_witness(p: _Point) -> np.ndarray:
@@ -391,11 +358,9 @@ def _positive_witness(p: _Point) -> np.ndarray:
     return block @ x
 
 
-def _solve(
-    m: np.ndarray, ha: np.ndarray, hb: np.ndarray, samples: int, iters: int
-) -> tuple[float, np.ndarray]:
-    """Distance and witness from a bracket of ``samples`` angles."""
-    half = (samples + 1) // 2
+def _solve(m: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple[float, np.ndarray]:
+    """Distance and witness from the bracket and its refinement."""
+    half = _PHI_SAMPLES // 2
     step = math.pi / half
     phis = step * np.arange(half)
     cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
@@ -414,44 +379,52 @@ def _solve(
             return _point(phi, vals[k], vecs[k], _kphi(ha, hb, phi))
         return _point(phi, -vals[k - half, ::-1], vecs[k - half][:, ::-1], _kphi(ha, hb, phi))
 
+    seen: list[_Point] = []
     ring = np.concatenate([g[-1:], g, g[:1]])
     peaks = np.flatnonzero((g >= ring[:-2]) & (g >= ring[2:]) & (g > level))
     for j in peaks[np.argsort(-g[peaks], kind="stable")]:
         p = sample(int(j))
         a, b = (p, sample(int(j) + 1)) if p.dg >= 0.0 else (sample(int(j) - 1), p)
-        best, upper = _refine(ha, hb, a, b, iters, radius)
+        best, upper = _refine(ha, hb, a, b, radius, seen)
         if best.g > _ZERO_TOL:
             return best.g, _positive_witness(best)
         if upper <= _ZERO_TOL:
             break
-    return 0.0, _zero_witness(m, ha, hb, phis, vals, vecs)
+    # support states: the min eigenvector at phi_j, the max one at phi_j + pi
+    angles = np.concatenate([phis, phis + math.pi, [p.phi % (2 * math.pi) for p in seen]])
+    states = np.concatenate([vecs[..., 0], vecs[..., -1], *(p.vecs[None, :, 0] for p in seen)])
+    order = np.argsort(angles, kind="stable")
+    states = states[order]
+    z = np.einsum("bi,ij,bj->b", states.conj(), m, states)
+    return 0.0, _polygon_witness(m, z, states)
 
 
-def numrange_origin_distance(query) -> tuple[float, np.ndarray]:
-    """Distance from 0 to the numerical range, with an achieving state.
+def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
+    """Distance from 0 to the numerical range of a square matrix, with an
+    achieving state.
 
-    Accepts a :class:`NumericalRangeQuery` or a bare square matrix.
     Returns ``(distance, witness)`` where |<witness|M|witness>| equals
     the distance within 1e-6 (typically far better).  A distance of 0.0
-    comes with a witness satisfying |<psi|M|psi>| <= 1e-8.
+    comes with a witness satisfying |<psi|M|psi>| <= 1e-8, built from the
+    bracket's support states with at most two exact 2x2 solves.
 
     Raises
     ------
+    NotSquareError
+        If the matrix is not square.
     NumericalRangeError
-        If neither the query's grid nor a doubled one yields such a zero
-        witness.
+        If the zero witness misses that bound.
     """
-    q = query if isinstance(query, NumericalRangeQuery) else NumericalRangeQuery(query)
-    m = q.matrix
-    n = m.shape[0]
+    m = as_matrix(m)
+    n, k = m.shape
+    if n != k:
+        raise NotSquareError(f"numerical range needs a square matrix, got {m.shape}")
     if n == 1:
         return abs(complex(m[0, 0])), np.ones(1, dtype=complex)
-    ha, hb = _herm_parts(m)
-    for samples in (q.phi_samples, 2 * q.phi_samples):
-        dist, witness = _solve(m, ha, hb, samples, q.refine_iters)
-        if dist > 0.0:
-            return dist, witness
-        resid = _form_residual(m, witness)
-        if resid <= _WITNESS_TOL:
-            return 0.0, witness
-    raise NumericalRangeError(resid, _WITNESS_TOL)
+    dist, witness = _solve(m, *_herm_parts(m))
+    if dist > 0.0:
+        return dist, witness
+    resid = _form_residual(m, witness)
+    if resid > _WITNESS_TOL:
+        raise NumericalRangeError(resid, _WITNESS_TOL)
+    return 0.0, witness

@@ -323,6 +323,14 @@ def test_non_finite_entry_exits_2_without_traceback(tmp_path, matrix_files):
     assert "Traceback" not in proc.stderr
 
 
+def test_empty_matrix_exits_2_without_traceback(tmp_path):
+    empty = tmp_path / "e.json"
+    empty.write_text(json.dumps({"rows": 0, "cols": 0, "data": []}))
+    proc = _run_cli("dist", str(empty), str(empty))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_restarts_exit_5_without_traceback(matrix_files):
     proc = _run_cli(
         "sep-dist", matrix_files["I4"], matrix_files["swap"], "--dims", "2,2", "--restarts", "0"

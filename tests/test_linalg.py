@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from unimetric.errors import (
     DimensionMismatchError,
+    EmptyInputError,
     InvalidPError,
     NotDensityError,
     NotSquareError,
@@ -15,6 +16,7 @@ from unimetric.errors import (
 )
 from unimetric.linalg import (
     DensityState,
+    as_matrix,
     haar_random_unitary,
     kron,
     matrix_from_json,
@@ -23,6 +25,7 @@ from unimetric.linalg import (
     trace_distance,
     validate_unitary,
 )
+from unimetric.subsets import null_space
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -238,3 +241,20 @@ class TestMatrixJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_matrices_raise_empty_input(shape):
+    empty = np.zeros(shape, dtype=complex)
+    calls = [
+        as_matrix,
+        validate_unitary,
+        DensityState.from_matrix,
+        lambda m: trace_distance(m, m),
+        lambda m: null_space([m]),
+        lambda m: schatten_norm(m, 2),
+        lambda m: matrix_from_json({"rows": shape[0], "cols": shape[1], "data": []}),
+    ]
+    for call in calls:
+        with pytest.raises(EmptyInputError):
+            call(empty)

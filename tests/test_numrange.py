@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from unimetric import numrange
 from unimetric.circlegeom import polygon_distance_to_origin
-from unimetric.errors import NotSquareError, NumericalRangeError
+from unimetric.errors import EmptyInputError, NotSquareError, NumericalRangeError
 from unimetric.linalg import haar_random_unitary, haar_unitaries
-from unimetric.numrange import NumericalRangeQuery, numrange_origin_distance
+from unimetric.numrange import numrange_origin_distance
 
 seeds = st.integers(0, 10_000)
 
@@ -21,13 +21,11 @@ def form_value(m, psi):
 class TestQueryValidation:
     def test_rejects_rectangular(self):
         with pytest.raises(NotSquareError):
-            NumericalRangeQuery(np.ones((2, 3)))
+            numrange_origin_distance(np.ones((2, 3)))
 
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            NumericalRangeQuery(np.eye(2), phi_samples=4)
-        with pytest.raises(ValueError):
-            NumericalRangeQuery(np.eye(2), refine_iters=-1)
+    def test_rejects_empty(self):
+        with pytest.raises(EmptyInputError):
+            numrange_origin_distance(np.zeros((0, 0)))
 
 
 class TestKnownValues:
@@ -113,6 +111,20 @@ class TestZeroWitness:
         assert dist == 0.0
         assert abs(form_value(shifted, wit)) <= 1e-8
         assert abs(np.linalg.norm(wit) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e3])
+    def test_segment_range_at_any_scale(self, scale):
+        # a rotated Hermitian 2x2 has a segment for its range, so the two
+        # Bloch planes of the 2x2 solve are parallel up to rounding
+        rng = np.random.default_rng([23, round(math.log10(scale)) + 4])
+        for _ in range(20):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            h = g + g.conj().T
+            h -= np.linalg.eigvalsh(h).mean() * np.eye(2)
+            m = scale * np.exp(1j * rng.uniform(0, 2 * math.pi)) * h
+            dist, wit = numrange_origin_distance(m)
+            assert dist == 0.0
+            assert abs(form_value(m, wit)) <= 1e-8
 
 
 def segment_distance(p, q):
@@ -218,8 +230,7 @@ class TestExactOracle:
                 assert abs(form_value(m, wit)) <= 1e-8
 
 
-def test_eigensolves_per_positive_call(monkeypatch):
-    # one batched bracket plus a few Newton or kink steps, no per-angle sweep
+def counted_eigensolves(monkeypatch):
     calls = []
 
     def counting(solver):
@@ -229,14 +240,20 @@ def test_eigensolves_per_positive_call(monkeypatch):
 
         return counted
 
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    return calls
+
+
+def test_eigensolves_per_positive_call(monkeypatch):
+    # one batched bracket plus a few Newton or kink steps, no per-angle sweep
     rng = np.random.default_rng(7)
     cases = []
     for k in range(60):
         n = 2 + k % 3
         d = 10 ** rng.uniform(-6, -0.5)
         cases.append(at_distance(random_matrix(rng, n, k % 2 == 0), rng.uniform(0, 6.3), d))
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    calls = counted_eigensolves(monkeypatch)
     worst = 0
     for m in cases:
         calls.clear()
@@ -246,31 +263,70 @@ def test_eigensolves_per_positive_call(monkeypatch):
     assert worst <= 8
 
 
+def test_eigensolves_per_zero_call(monkeypatch):
+    # the witness reuses the bracket's and the refinement's eigenvectors
+    rng = np.random.default_rng(8)
+    cases = []
+    for k in range(60):
+        n = 3 + k % 4
+        m0 = random_matrix(rng, n, k % 2 == 0)
+        boundary = at_distance(m0, rng.uniform(0, 2 * math.pi), 0.0)
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi /= np.linalg.norm(psi)
+        cases += [boundary, m0 - form_value(m0, psi) * np.eye(n)]
+    calls = counted_eigensolves(monkeypatch)
+    worst = 0
+    for m in cases:
+        calls.clear()
+        dist, wit = numrange_origin_distance(m)
+        assert dist == 0.0 and abs(form_value(m, wit)) <= 1e-8
+        worst = max(worst, len(calls))
+    assert worst <= 8
+
+
+class TestQuadraticFormZero2x2:
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e3])
+    def test_exact_when_zero_in_range(self, scale):
+        # odd draws are normal, so their range is a segment and the two
+        # Bloch planes are parallel up to rounding
+        rng = np.random.default_rng([21, round(math.log10(scale)) + 4])
+        for k in range(200):
+            c = random_matrix(rng, 2, k % 2 == 1)
+            psi = haar_unitaries(rng, 1, 2)[0][:, 0]
+            c = scale * (c - form_value(c, psi) * np.eye(2))
+            x = numrange._quadratic_form_zero_2x2(c)
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+            assert abs(form_value(c, x)) <= 1e-13 * np.abs(c).max()
+
+    def test_nearest_point_when_zero_outside(self):
+        # the form value is the point of the range nearest 0, whose
+        # distance the support-function solver gives independently
+        rng = np.random.default_rng(22)
+        for k in range(200):
+            c = random_matrix(rng, 2, k % 2 == 1)
+            c = at_distance(c, rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-6, 0))
+            x = numrange._quadratic_form_zero_2x2(c)
+            dist, _ = numrange_origin_distance(c)
+            assert abs(form_value(c, x)) == pytest.approx(dist, abs=1e-9)
+
+
 class TestWitnessGuard:
     M = np.diag([1.0, 1j, -1.0, -1j])
 
-    def _bad_first(self, monkeypatch, misses):
-        solve = numrange._solve
-        grids = []
-
-        def patched(m, ha, hb, samples, iters):
-            grids.append(samples)
-            if len(grids) <= misses:
-                return 0.0, np.eye(m.shape[0], dtype=complex)[0]
-            return solve(m, ha, hb, samples, iters)
-
-        monkeypatch.setattr(numrange, "_solve", patched)
-        return grids
-
-    def test_miss_is_solved_again_on_a_doubled_grid(self, monkeypatch):
-        grids = self._bad_first(monkeypatch, misses=1)
-        dist, wit = numrange_origin_distance(NumericalRangeQuery(self.M, phi_samples=40))
-        assert grids == [40, 80]
-        assert dist == 0.0 and abs(form_value(self.M, wit)) <= 1e-8
-
     def test_second_miss_raises(self, monkeypatch):
-        grids = self._bad_first(monkeypatch, misses=2)
+        # a missed zero witness raises at once; nothing is solved again
+        solves = []
+        solve = numrange._solve
+
+        def counted(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(numrange, "_solve", counted)
+        monkeypatch.setattr(
+            numrange, "_polygon_witness", lambda m, z, states: np.eye(m.shape[0], dtype=complex)[0]
+        )
         with pytest.raises(NumericalRangeError) as exc:
             numrange_origin_distance(self.M)
-        assert grids == [64, 128]
+        assert solves == [1]
         assert exc.value.residual == pytest.approx(1.0)
