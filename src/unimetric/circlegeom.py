@@ -9,7 +9,9 @@ Three operations drive the closed-form unitary metric:
   convex hull of the points exp(i*theta).  It is computed with plain 2-d
   segment geometry, independently of the arc formula, so the identity
   dist = cos(alpha/2) (0 once alpha >= pi) can be used as a cross-check
-  between two genuinely different code paths.
+  between two genuinely different code paths.  Its witness comes from
+  :func:`polygon_exit`, the convex-polygon routine that the numerical
+  range's witnesses share.
 * :func:`distance_from_arc` is the closed form itself: sin(alpha/2) for
   arcs shorter than a semicircle, 1 once a semicircle is covered.
 
@@ -116,76 +118,61 @@ def distance_from_arc(arc: SpectralArc) -> float:
     return float(min(1.0, max(0.0, math.sin(arc.alpha / 2.0))))
 
 
-def _antipodal_pair(angles: np.ndarray) -> tuple[int, int] | None:
-    """Pair of indices separated by pi within ARC_TOL, if one exists."""
-    k = len(angles)
-    targets = np.mod(angles + math.pi, TAU)
-    for i in range(k):
-        j = int(np.searchsorted(angles, targets[i]))
-        for jj in (j - 1, j % k):
-            sep = abs(angles[jj % k] - targets[i])
-            sep = min(sep, TAU - sep)
-            if jj % k != i and sep <= ARC_TOL:
-                return i, jj % k
-    return None
+def polygon_exit(z: np.ndarray) -> tuple[int, int, int, float, bool]:
+    """Where the ray from the farthest vertex through 0 leaves a convex
+    polygon, or the polygon's point nearest 0.
 
-
-def _inside_witness(arc: SpectralArc) -> WitnessWeights:
-    """Convex weights summing (numerically) to zero when 0 is in the hull."""
-    a = arc.angles
-    pair = _antipodal_pair(a)
-    if pair is not None:
-        return WitnessWeights(support=pair, weights=_freeze(np.array([0.5, 0.5])))
-    # No antipodal pair, so alpha > pi strictly: rotate the arc start to 0
-    # and use an interior point with phase in (alpha - pi, pi); the triangle
-    # {start, interior, end} contains the origin and the 3-weight linear
-    # system p1 z1 + pj zj + pn zn = 0, sum p = 1 has a nonnegative solution.
-    s_idx, e_idx = arc.start, arc.end
-    rel = np.mod(a - a[s_idx], TAU)
-    lo, hi = arc.alpha - math.pi, math.pi
-    interior = [i for i in range(len(a)) if i not in (s_idx, e_idx) and lo < rel[i] < hi]
-    if not interior:
-        raise RuntimeError("no interior point for the containing triangle")
-    # best-conditioned choice: deepest inside the admissible window
-    j_idx = max(interior, key=lambda i: min(rel[i] - lo, hi - rel[i]))
-    zs = np.exp(1j * a[[s_idx, j_idx, e_idx]])
-    mat = np.vstack([zs.real, zs.imag, np.ones(3)])
-    p = np.linalg.solve(mat, np.array([0.0, 0.0, 1.0]))
-    p = np.maximum(p, 0.0)
-    p = p / p.sum()
-    return WitnessWeights(support=(s_idx, j_idx, e_idx), weights=_freeze(p))
+    ``z`` holds the vertices in boundary order, either orientation,
+    repeats allowed.  Returns ``(far, k, k1, t, inside)`` with k1 = k + 1
+    cyclically and b = z[k] + t (z[k1] - z[k]) a point of edge k.  The ray
+    from z[far] through 0 crosses the edges whose ends lie on either side
+    of the line through z[far] and 0; a crossing beyond 0 is b, and 0
+    lies between z[far] and b (``inside``).  When there is none, 0 is
+    outside the polygon and b is its point nearest 0.
+    """
+    k1 = (np.arange(z.size) + 1) % z.size
+    far = int(np.argmax(np.abs(z)))
+    # coordinates across and along z[far], times |z[far]|
+    rot = z * z[far].conjugate()
+    across, along = rot.imag, rot.real
+    across1 = across[k1]
+    sides = (across * across1 <= 0.0) & (across != across1)
+    t = np.divide(across, across - across1, out=np.zeros(z.size), where=sides)
+    exits = np.where(sides, along + t * (along[k1] - along), np.inf)
+    k = int(np.argmin(exits))
+    inside = bool(exits[k] < 0.0)
+    if not inside:
+        d = z[k1] - z
+        dd = (d.conj() * d).real
+        t = np.clip(np.divide(-(d.conj() * z).real, dd, out=np.zeros(z.size), where=dd > 0.0), 0.0, 1.0)
+        k = int(np.argmin(np.abs(z + t * d)))
+    return far, k, int(k1[k]), float(t[k]), inside
 
 
 def polygon_distance_to_origin(angles) -> tuple[float, WitnessWeights]:
     """Distance from 0 to the convex hull of the unit-circle points.
 
     Accepts raw angles or a precomputed :class:`SpectralArc`; indices in
-    the returned witness refer to the arc's sorted ``angles``.
-    When the hull contains the origin the distance is 0 and the witness
-    is an antipodal pair or an acute containing triangle; otherwise the
-    minimum is over hull edges, which for circle points are consecutive
-    sorted pairs plus the closing edge.
+    the returned witness refer to the arc's sorted ``angles``, which are
+    the hull's vertices in boundary order.  The witness comes from
+    :func:`polygon_exit`: weights over (far, k, k1) putting 0 between
+    z[far] and the ray's exit point when the hull contains 0, else edge
+    weights (1 - t, t) on (k, k1) for the hull's point nearest 0.  The
+    distance is 0 once the arc covers a semicircle.
     """
     arc = angles if isinstance(angles, SpectralArc) else smallest_covering_arc(angles)
-    k = len(arc.angles)
-    if k == 1:
+    if len(arc.angles) == 1:
         return 1.0, WitnessWeights(support=(0,), weights=_freeze(np.array([1.0])))
-    if arc.covers_semicircle:
-        return 0.0, _inside_witness(arc)
-    zs = np.exp(1j * arc.angles)
-    best = (math.inf, 0, 0, 0.0)
-    for i in range(k if k > 2 else 1):
-        j = (i + 1) % k
-        za, zb = zs[i], zs[j]
-        chord = zb - za
-        denom = abs(chord) ** 2
-        t = 0.5 if denom == 0.0 else min(1.0, max(0.0, -(za.conjugate() * chord).real / denom))
-        dist = abs(za + t * chord)
-        if dist < best[0]:
-            best = (dist, i, j, t)
-    dist, i, j, t = best
-    w = WitnessWeights(support=(i, j), weights=_freeze(np.array([1.0 - t, t])))
-    return float(dist), w
+    z = np.exp(1j * arc.angles)
+    far, k, k1, t, inside = polygon_exit(z)
+    b = z[k] + t * (z[k1] - z[k])
+    if inside:
+        # s z[far] + (1 - s) b = 0
+        s = abs(b) / (abs(b) + abs(z[far]))
+        weights = np.array([s, (1.0 - s) * (1.0 - t), (1.0 - s) * t])
+        return 0.0, WitnessWeights(support=(far, k, k1), weights=_freeze(weights))
+    dist = 0.0 if arc.covers_semicircle else float(abs(b))
+    return dist, WitnessWeights(support=(k, k1), weights=_freeze(np.array([1.0 - t, t])))
 
 
 def polygon_csv(arc: SpectralArc) -> str:

@@ -311,6 +311,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         data = obj["data"]
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"malformed matrix object: {exc}") from exc
+    if rows < 0 or cols < 0:
+        raise MalformedInputError(f"negative matrix shape ({rows}, {cols})")
     if len(data) != rows * cols:
         raise MalformedInputError(
             f"data length {len(data)} does not match rows*cols = {rows * cols}"

@@ -36,20 +36,24 @@ on at most one arc, and there g'' <= -g < 0.
   within 1e-13 of the best value found.  A candidate is rejected as soon
   as g'' <= -g <= w shows that g < 0 on its bracket, and a chord through
   0 shows that 0 lies in F.
-* Zero witness: when 0 lies in F, the bracket's eigenvectors are already
-  support states: the min eigenvector at phi, and the max eigenvector,
-  which supports direction phi + pi.  With every state the refinement
-  evaluated, their points z = <x|M|x>, sorted by angle, trace the
-  boundary of F in order and span a convex polygon inside F (Carden's
-  inverse field-of-values construction, R. Carden, Inverse Problems 25,
-  2009).  The range of a 2x2 compression holds the segment between the
-  points of its two states (Toeplitz-Hausdorff), and a point of that
-  range is solved exactly on the Bloch sphere.  When 0 lies in the
-  polygon, the ray from the farthest vertex z_a through 0 leaves it at a
-  point b of an edge [z_k, z_k+1] beyond 0.  Otherwise a vertex within
-  1e-8 of 0 is the witness, or b is the polygon's point nearest 0.  b is
-  solved on span(x_k, x_k+1), then 0 on span(x_a, x_b).  A witness that
-  misses |<psi|M|psi>| <= 1e-8 raises NumericalRangeError.
+* Witness: every eigenvector the solver computes is a support state x
+  of F, and its point z = <x|M|x> lies on the boundary of F.  The range
+  of the 2x2 compression onto span(x, y) holds the segment between the
+  points of x and y (Toeplitz-Hausdorff), and a point of that range is
+  solved exactly on the Bloch sphere, so every witness is solved on the
+  span of two support states, with no eigensolve of its own.  When 0
+  lies outside F, the witness is one solve: the point of the final
+  bracket's chord nearest 0, on the span of the bracket ends' states.
+  When 0 lies in F, the bracket's states (the min eigenvector at phi,
+  and the max one, which supports direction phi + pi) and every state
+  the refinement evaluated, sorted by angle, trace the boundary of F in
+  order and span a convex polygon inside F (Carden's inverse
+  field-of-values construction, R. Carden, Inverse Problems 25, 2009).
+  circlegeom.polygon_exit gives its farthest vertex z_a and a point b of
+  an edge [z_k, z_k+1]: where the ray from z_a through 0 leaves the
+  polygon, or the polygon's point nearest 0.  b is solved on
+  span(x_k, x_k+1), then 0 on span(x_a, x_b): two solves.  A zero
+  witness that misses |<psi|M|psi>| <= 1e-8 raises NumericalRangeError.
 
 Needed because compressions of unitaries onto subspaces are no longer
 normal, so the circle geometry of the full-space metric does not apply.
@@ -62,6 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .circlegeom import polygon_exit
 from .errors import NotSquareError, NumericalRangeError
 from .linalg import as_matrix
 
@@ -76,12 +81,12 @@ _NEWTON_STEPS = 40
 
 
 class _Point(NamedTuple):
-    """g and its derivatives at one angle, with the eigensolve behind them.
+    """g and its derivatives at one angle, with its support state.
 
     ``kink`` is the step in the direction of ascent to the nearest angle
     where lambda_0 meets another eigenvalue, by their tangents (nan if
-    none meets it), and ``z`` = <psi_0|M|psi_0> is the point of F that
-    supports direction phi.
+    none meets it), and ``z`` = <x|M|x> is the point of F that supports
+    direction phi, with x = psi_0.
     """
 
     phi: float
@@ -90,9 +95,7 @@ class _Point(NamedTuple):
     d2g: float
     kink: float
     z: complex
-    vals: np.ndarray
-    vecs: np.ndarray
-    kphi: np.ndarray
+    x: np.ndarray
 
 
 def _herm_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +121,7 @@ def _point(phi: float, vals: np.ndarray, vecs: np.ndarray, kphi: np.ndarray) -> 
         ahead = crossings[crossings * dg > 0.0]
     kink = float(ahead[np.argmin(np.abs(ahead))]) if ahead.size else math.nan
     z = complex(math.cos(phi), -math.sin(phi)) * complex(g, -dg)
-    return _Point(phi, g, dg, -g - 2.0 * curv, kink, z, vals, vecs, kphi)
+    return _Point(phi, g, dg, -g - 2.0 * curv, kink, z, vecs[:, 0])
 
 
 def _evaluate(ha: np.ndarray, hb: np.ndarray, phi: float) -> _Point:
@@ -142,16 +145,16 @@ def _tangent_bound(a: _Point, b: _Point) -> tuple[float, float | None]:
     return max(min(a.g, b.g - b.dg * width), min(a.g + a.dg * width, b.g)), None
 
 
-def _chord_bound(a: _Point, b: _Point) -> float:
-    """Distance from 0 to the segment [a.z, b.z], 0 when it meets 0.
+def _chord_point(a: _Point, b: _Point) -> complex:
+    """Point of the segment [a.z, b.z] nearest 0.
 
-    Both ends lie in F, so their convex hull bounds the distance to F,
-    and so every value of g, from above.
+    Both ends lie in F, so their convex hull does, and its distance from
+    0 bounds every value of g from above.
     """
     d = b.z - a.z
     dd = abs(d) ** 2
     t = 0.0 if dd == 0.0 else min(1.0, max(0.0, -(d.conjugate() * a.z).real / dd))
-    return abs(a.z + t * d)
+    return a.z + t * d
 
 
 def _next_angle(x: _Point, a: _Point, b: _Point, cross: float | None) -> float:
@@ -169,17 +172,17 @@ def _next_angle(x: _Point, a: _Point, b: _Point, cross: float | None) -> float:
 
 def _refine(
     ha: np.ndarray, hb: np.ndarray, a: _Point, b: _Point, radius: float, seen: list
-) -> tuple[_Point, float]:
+) -> tuple[_Point, _Point, _Point, float]:
     """Highest g found in [a.phi, b.phi], whose ends hold g' > 0 and g' < 0,
-    and an upper bound on g over the whole circle.  Every point evaluated
-    is appended to ``seen``."""
+    the bracket's final ends, and an upper bound on g over the whole
+    circle.  Every point evaluated is appended to ``seen``."""
     best = x = a if a.g >= b.g else b
     tol = _BOUND_TOL * max(1.0, radius)
-    upper = _chord_bound(a, b)
+    upper = abs(_chord_point(a, b))
     for _ in range(_NEWTON_STEPS):
         width = b.phi - a.phi
         tangent, cross = _tangent_bound(a, b)
-        upper = min(upper, _chord_bound(a, b))
+        upper = min(upper, abs(_chord_point(a, b)))
         if a.g > 0.0 and b.g > 0.0:
             upper = min(upper, tangent)
         if upper - best.g <= tol or upper <= _ZERO_TOL:
@@ -198,12 +201,13 @@ def _refine(
             a = x
         else:
             b = x
-    return best, upper
+    return best, a, b, upper
 
 
 def _bloch_state(n) -> np.ndarray:
     """Unit 2-vector whose projector has the given Bloch vector."""
-    theta = math.acos(min(1.0, max(-1.0, n[2])))
+    # acos(n_z) would lose half the digits of theta near the poles
+    theta = math.atan2(math.hypot(n[0], n[1]), n[2])
     phi = math.atan2(n[1], n[0])
     return np.array(
         [math.cos(theta / 2), math.sin(theta / 2) * complex(math.cos(phi), math.sin(phi))],
@@ -292,17 +296,6 @@ def _span_state(m: np.ndarray, x: np.ndarray, y: np.ndarray, target: complex) ->
     return _quadratic_form_zero_2x2(c) @ basis
 
 
-def _mixing_state(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Mix min/max eigenvectors so the quadratic form of A vanishes."""
-    lam1, lamn = float(vals[0]), float(vals[-1])
-    if lam1 >= -_ZERO_TOL:
-        return vecs[:, 0]
-    if lamn <= _ZERO_TOL:
-        return vecs[:, -1]
-    t = math.atan(math.sqrt(-lam1 / lamn))
-    return math.cos(t) * vecs[:, 0] + math.sin(t) * vecs[:, -1]
-
-
 def _form_residual(m: np.ndarray, psi: np.ndarray) -> float:
     return abs(complex(psi.conj() @ m @ psi))
 
@@ -310,52 +303,14 @@ def _form_residual(m: np.ndarray, psi: np.ndarray) -> float:
 def _polygon_witness(m: np.ndarray, z: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Zero witness from support points z_k = <x_k|M|x_k> in boundary order.
 
-    The ray from the farthest vertex z_a through 0 crosses the edges whose
-    ends lie on either side of the line through z_a and 0.  A crossing
-    beyond 0 is a point b of the polygon with 0 between z_a and b.  When
-    there is none, 0 is outside the polygon: a vertex within
-    ``_WITNESS_TOL`` of 0 is the witness, or b is the point nearest 0.  b
-    is solved on the span of its edge's states, then 0 on span(x_a, x_b),
-    whose range holds the segment from z_a to b.
+    :func:`~unimetric.circlegeom.polygon_exit` gives the farthest vertex
+    z_a and a point b of edge [z_k, z_k+1]: the ray's exit beyond 0, or
+    the polygon's point nearest 0.  b is solved on span(x_k, x_k+1), then
+    0 on span(x_a, x_b), whose range holds the segment from z_a to b.
     """
-    k1 = (np.arange(z.size) + 1) % z.size
-    far = int(np.argmax(np.abs(z)))
-    # coordinates across and along z_a, times |z_a|
-    rot = z * z[far].conjugate()
-    across, along = rot.imag, rot.real
-    across1 = across[k1]
-    sides = (across * across1 <= 0.0) & (across != across1)
-    t = np.divide(across, across - across1, out=np.zeros(z.size), where=sides)
-    exits = np.where(sides, along + t * (along[k1] - along), np.inf)
-    k = int(np.argmin(exits))
-    if exits[k] >= 0.0:
-        near = int(np.argmin(np.abs(z)))
-        if abs(z[near]) <= _WITNESS_TOL:
-            return states[near]
-        d = z[k1] - z
-        dd = (d.conj() * d).real
-        t = np.clip(np.divide(-(d.conj() * z).real, dd, out=np.zeros(z.size), where=dd > 0.0), 0.0, 1.0)
-        k = int(np.argmin(np.abs(z + t * d)))
-    b = z[k] + t[k] * (z[k1[k]] - z[k])
-    return _span_state(m, states[far], _span_state(m, states[k], states[k1[k]], b), 0.0)
-
-
-def _positive_witness(p: _Point) -> np.ndarray:
-    """Minimizing eigenvector at the optimal direction; on a degenerate
-    support face, mix within the eigenspace to kill the transverse part."""
-    scale = max(1.0, float(np.abs(p.vals).max()))
-    cluster = p.vals <= p.vals[0] + 1e-8 * scale
-    if int(cluster.sum()) == 1:
-        return p.vecs[:, 0]
-    block = p.vecs[:, cluster]
-    comp = block.conj().T @ p.kphi @ block
-    comp = (comp + comp.conj().T) / 2
-    kvals, kvecs = np.linalg.eigh(comp)
-    if kvals[0] <= 0.0 <= kvals[-1]:
-        x = _mixing_state(kvals, kvecs)
-    else:
-        x = kvecs[:, int(np.argmin(np.abs(kvals)))]
-    return block @ x
+    far, k, k1, t, _ = polygon_exit(z)
+    b = z[k] + t * (z[k1] - z[k])
+    return _span_state(m, states[far], _span_state(m, states[k], states[k1], b), 0.0)
 
 
 def _solve(m: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple[float, np.ndarray]:
@@ -385,14 +340,14 @@ def _solve(m: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple[float, np.nda
     for j in peaks[np.argsort(-g[peaks], kind="stable")]:
         p = sample(int(j))
         a, b = (p, sample(int(j) + 1)) if p.dg >= 0.0 else (sample(int(j) - 1), p)
-        best, upper = _refine(ha, hb, a, b, radius, seen)
+        best, a, b, upper = _refine(ha, hb, a, b, radius, seen)
         if best.g > _ZERO_TOL:
-            return best.g, _positive_witness(best)
+            return best.g, _span_state(m, a.x, b.x, _chord_point(a, b))
         if upper <= _ZERO_TOL:
             break
     # support states: the min eigenvector at phi_j, the max one at phi_j + pi
     angles = np.concatenate([phis, phis + math.pi, [p.phi % (2 * math.pi) for p in seen]])
-    states = np.concatenate([vecs[..., 0], vecs[..., -1], *(p.vecs[None, :, 0] for p in seen)])
+    states = np.concatenate([vecs[..., 0], vecs[..., -1], *(p.x[None] for p in seen)])
     order = np.argsort(angles, kind="stable")
     states = states[order]
     z = np.einsum("bi,ij,bj->b", states.conj(), m, states)
@@ -404,9 +359,10 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     achieving state.
 
     Returns ``(distance, witness)`` where |<witness|M|witness>| equals
-    the distance within 1e-6 (typically far better).  A distance of 0.0
-    comes with a witness satisfying |<psi|M|psi>| <= 1e-8, built from the
-    bracket's support states with at most two exact 2x2 solves.
+    the distance within 1e-6 (typically far better).  The witness is
+    solved on the span of two support states the solver already holds:
+    one exact 2x2 solve when 0 lies outside F, two when it lies inside.
+    A distance of 0.0 comes with |<psi|M|psi>| <= 1e-8.
 
     Raises
     ------

@@ -10,6 +10,7 @@ from unimetric.errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidPError,
+    MalformedInputError,
     NotDensityError,
     NotSquareError,
     NotUnitaryError,
@@ -241,6 +242,18 @@ class TestMatrixJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": -1, "cols": 0, "data": []},
+            {"rows": -2, "cols": -3, "data": [[0, 0]] * 6},
+        ],
+    )
+    def test_negative_shape_rejected(self, obj):
+        # rows * cols matches the data length, so only the sign check catches these
+        with pytest.raises(MalformedInputError):
+            matrix_from_json(obj)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

@@ -126,6 +126,50 @@ class TestZeroWitness:
             assert dist == 0.0
             assert abs(form_value(m, wit)) <= 1e-8
 
+    def test_boundary_shift_at_small_scale(self):
+        # the residual is judged against the matrix's own scale, not the
+        # absolute 1e-8 guard, which a matrix of size 1e-4 passes trivially
+        rng = np.random.default_rng(24)
+        for k in range(300):
+            n = 2 + k % 5
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m = 1e-4 * at_distance(g, rng.uniform(0, 2 * math.pi), 0.0)
+            dist, wit = numrange_origin_distance(m)
+            if dist == 0.0:
+                assert abs(form_value(m, wit)) <= 1e-7 * np.abs(m).max()
+
+
+class TestPositiveWitness:
+    # |<w|M|w>| must equal the distance within 1e-6, as documented
+
+    def test_thin_ellipse(self):
+        # F is an ellipse of half-length ~L and half-width eps centred at
+        # i d0, rotated; its support states at the optimum nearly coincide
+        rng = np.random.default_rng(25)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for _ in range(200):
+            big = rng.uniform(1e2, 3e3)
+            eps = 10 ** rng.uniform(-10, -6)
+            d0 = rng.uniform(0.1, 2.0)
+            q = haar_unitaries(rng, 1, 2)[0]
+            inner = q @ (np.diag([big, -big]) + 1j * eps * sx) @ q.conj().T
+            m = np.exp(1j * rng.uniform(0, 2 * math.pi)) * (inner + 1j * d0 * np.eye(2))
+            dist, wit = numrange_origin_distance(m)
+            assert dist == pytest.approx(d0 - eps, abs=1e-9)
+            assert abs(abs(form_value(m, wit)) - dist) <= 1e-6
+
+    def test_near_boundary_at_large_scale(self):
+        # a bracket a few 1e-9 wide puts the chord's solve next to a pole
+        # of the Bloch sphere
+        rng = np.random.default_rng(26)
+        for k in range(300):
+            n = 2 + k % 5
+            d = 10 ** rng.uniform(-9, -2)
+            m = 1e3 * at_distance(random_matrix(rng, n, False), rng.uniform(0, 2 * math.pi), d)
+            dist, wit = numrange_origin_distance(m)
+            if dist > 0.0:
+                assert abs(abs(form_value(m, wit)) - dist) <= 1e-6
+
 
 def segment_distance(p, q):
     """Distance from 0 to the segment [p, q] of the complex plane."""

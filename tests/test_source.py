@@ -29,3 +29,43 @@ def test_public_names_resolve():
         for alias in node.names
     }
     assert sorted(unimetric.__all__) == sorted(imported)
+
+
+def _module_level_private(tree):
+    """(name, node) for each module-level _name a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_private_names_are_used():
+    # a private helper or constant nobody references is left over from a removed path
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    defined = [
+        (path.name, name, node)
+        for path, tree in zip(SOURCES, trees)
+        for name, node in _module_level_private(tree)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    unused = []
+    for module, name, definition in defined:
+        inside = {id(node) for node in ast.walk(definition)}
+        used = any(
+            id(node) not in inside
+            and (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+            )
+            for tree in trees
+            for node in ast.walk(tree)
+        )
+        if not used:
+            unused.append(f"{module}:{name}")
+    assert unused == []
