@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, MalformedInputError
-from .linalg import TAU, _freeze, reduce_angles
+from .linalg import TAU, _freeze, reduce_angles, runs
 
 # angles this close share one run of the display grouping
 RUN_TOL = 1e-9
@@ -62,24 +62,6 @@ class WitnessWeights:
         return complex(np.sum(self.weights * zs))
 
 
-def circular_runs(angles: np.ndarray, tol: float) -> list[list[int]]:
-    """Group ascending angles in [0, 2pi) into runs of ascending indices.
-
-    A run holds the angles within ``tol`` of its first angle, its anchor
-    ``run[0]``; the last run joins the first when its anchor lies within
-    ``tol`` of the first anchor plus 2pi.
-    """
-    vals = angles.tolist()
-    starts = [0]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[starts[-1]] > tol:
-            starts.append(i)
-    runs = [list(range(s, e)) for s, e in zip(starts, starts[1:] + [len(vals)])]
-    if len(runs) > 1 and (vals[0] + TAU) - vals[starts[-1]] <= tol:
-        runs[0] += runs.pop()
-    return runs
-
-
 def smallest_covering_arc(angles) -> SpectralArc:
     """Shortest arc of the unit circle containing all the given angles.
 
@@ -106,9 +88,9 @@ def smallest_covering_arc(angles) -> SpectralArc:
 
 
 def angle_runs(arc: SpectralArc) -> tuple[np.ndarray, np.ndarray]:
-    """Display grouping: the first angle and the size of each ``RUN_TOL`` run."""
-    runs = circular_runs(arc.angles, RUN_TOL)
-    return arc.angles[[run[0] for run in runs]], np.array([len(run) for run in runs])
+    """Display grouping: the first angle and the size of each ``RUN_TOL`` run around the circle."""
+    groups = runs(arc.angles, RUN_TOL, TAU)
+    return arc.angles[[run[0] for run in groups]], np.array([len(run) for run in groups])
 
 
 def distance_from_arc(arc: SpectralArc) -> float:

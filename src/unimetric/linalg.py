@@ -6,17 +6,20 @@ decomposition) and :class:`DensityState` (PSD, trace one, with an optional
 pure-state vector).  Everything here is a pure function on immutable
 values and safe for concurrent use.
 
-Unitary matrices are normal, so the eigendecomposition is done by a
-Hermitian split: W = H1 + i H2 with H1 = (W + W')/2 and H2 = (W - W')/(2i).
-H1 is diagonalized with a Hermitian solver and H2 is re-diagonalized on
-each (near-)degenerate eigenspace of H1.  This keeps every solve
-well-conditioned and avoids a general nonsymmetric eigensolver.
+One kernel finds the joint eigenbasis of commuting unitaries, for the
+spectrum of one (W) and the null space of a family: each is split as
+W = H1 + i H2 with H1 = (W + W')/2 and H2 = (W - W')/(2i), the first part
+is diagonalized with a Hermitian solver, and every later part is
+re-diagonalized on each block of equal eigenvalues left so far.  This
+keeps every solve well-conditioned and avoids a general nonsymmetric
+eigensolver (Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,7 @@ TAU = 2.0 * math.pi
 UNITARITY_TOL = 1e-10
 DENSITY_TOL = 1e-10
 EIGEN_TOL = 1e-8
-# relative threshold for clustering H1 eigenvalues before the H2 pass
+# Hermitian-part eigenvalues closer than this are taken as equal
 _CLUSTER_TOL = 1e-8
 
 
@@ -125,38 +128,51 @@ class DensityState:
         return cls(matrix=_freeze(np.outer(v, v.conj())), pure_vector=_freeze(v))
 
 
-def _cluster_slices(sorted_vals: np.ndarray, tol: float):
-    """Yield index slices grouping consecutive values closer than tol."""
-    n = len(sorted_vals)
-    start = 0
-    for i in range(1, n):
-        if sorted_vals[i] - sorted_vals[i - 1] > tol:
-            yield slice(start, i)
-            start = i
-    yield slice(start, n)
+def runs(sorted_values, tol: float, period: float | None = None) -> list[list[int]]:
+    """Group ascending values into runs of ascending indices.
+
+    A new run starts wherever a value exceeds the one before it by more
+    than ``tol``.  With a ``period`` the values lie on a circle, and the
+    last run joins the first when the first value plus the period lies
+    within ``tol`` of the last value.
+    """
+    # plain floats: most arrays here are short, and numpy costs more than the loop
+    v = np.asarray(sorted_values).tolist()
+    starts = [i for i in range(len(v)) if i == 0 or v[i] - v[i - 1] > tol]
+    out = [list(range(a, b)) for a, b in zip(starts, starts[1:] + [len(v)])]
+    if period is not None and len(out) > 1 and v[0] + period - v[-1] <= tol:
+        out[0] += out.pop()
+    return out
 
 
-def _normal_unitary_eig(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a (near-)unitary matrix via the Hermitian split."""
-    h1 = (w + w.conj().T) / 2
-    h2 = (w - w.conj().T) / 2j
-    vals1, vecs1 = np.linalg.eigh(h1)
-    scale = max(1.0, float(np.abs(vals1).max(initial=0.0)))
-    vecs = np.empty_like(vecs1)
-    for sl in _cluster_slices(vals1, _CLUSTER_TOL * scale):
-        block = vecs1[:, sl]
-        if block.shape[1] == 1:
-            vecs[:, sl] = block
-            continue
-        comp = block.conj().T @ h2 @ block
-        comp = (comp + comp.conj().T) / 2
-        _, sub = np.linalg.eigh(comp)
-        vecs[:, sl] = block @ sub
-    # Rayleigh quotients give the eigenvalues; phases reduced to [0, 2pi)
-    ray = np.einsum("ij,ik,kj->j", vecs.conj(), w, vecs)
-    angles = reduce_angles(np.arctan2(ray.imag, ray.real))
-    order = np.argsort(angles, kind="stable")
-    return angles[order], vecs[:, order]
+def _hermitian_parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H1 = (W + W')/2 and H2 = (W - W')/2i, so that W = H1 + i H2."""
+    return (w + w.conj().T) / 2, (w - w.conj().T) / 2j
+
+
+def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
+    """Joint eigenbasis of commuting (near-)unitaries, and its blocks: runs
+    of adjacent columns, ascending, on which every operator is scalar.
+
+    Each later Hermitian part is re-diagonalized on every block of more
+    than one column (one batched eigensolve per block size), and its
+    eigenvalues split the block into runs at ``_CLUSTER_TOL``.
+    """
+    parts = [h for w in operators for h in _hermitian_parts(w)]
+    vals, basis = np.linalg.eigh(parts[0])
+    blocks = runs(vals, _CLUSTER_TOL)
+    for h in parts[1:]:
+        split = {}
+        for size in {len(cols) for cols in blocks} - {1}:
+            group = [cols for cols in blocks if len(cols) == size]
+            sub = basis[:, group].transpose(1, 0, 2)
+            comp = sub.conj().transpose(0, 2, 1) @ h @ sub
+            vals, vecs = np.linalg.eigh((comp + comp.conj().transpose(0, 2, 1)) / 2)
+            basis[:, group] = (sub @ vecs).transpose(1, 0, 2)
+            for cols, v in zip(group, vals):
+                split[cols[0]] = [[cols[i] for i in run] for run in runs(v, _CLUSTER_TOL)]
+        blocks = [part for cols in blocks for part in split.get(cols[0], [cols])]
+    return basis, blocks
 
 
 def unitary_matrix(u) -> np.ndarray:
@@ -184,15 +200,25 @@ def unitary_matrix(u) -> np.ndarray:
 
 
 def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
-    """Spectral data of a matrix known to be unitary; checks the eigen-residual."""
-    angles, vecs = _normal_unitary_eig(a)
-    resid = np.linalg.norm(a @ vecs - vecs * np.exp(1j * angles), axis=0)
+    """Spectral data of a matrix known to be unitary; checks the eigen-residual.
+
+    The angles are those of the Rayleigh quotients v'Av on the kernel's
+    basis; the one product A V gives them and the residual.
+    """
+    vecs, _ = _joint_eigenbasis([a])
+    av = a @ vecs
+    ray = np.einsum("ij,ij->j", vecs.conj(), av)
+    angles = reduce_angles(np.arctan2(ray.imag, ray.real))
+    resid = np.linalg.norm(av - vecs * np.exp(1j * angles), axis=0)
     if resid.max() > EIGEN_TOL:
         raise RuntimeError(
             f"eigendecomposition residual {resid.max():.3e} exceeds {EIGEN_TOL:.1e}"
         )
+    order = np.argsort(angles, kind="stable")
     return UnitaryOperator(
-        matrix=_freeze(a), eigen_angles=_freeze(angles), eigen_vectors=_freeze(vecs)
+        matrix=_freeze(a),
+        eigen_angles=_freeze(angles[order]),
+        eigen_vectors=_freeze(vecs[:, order]),
     )
 
 
@@ -306,18 +332,17 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError) as exc:
+        rows = operator.index(obj["rows"])
+        cols = operator.index(obj["cols"])
+        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"malformed matrix object: {exc}") from exc
     if rows < 0 or cols < 0:
         raise MalformedInputError(f"negative matrix shape ({rows}, {cols})")
-    if len(data) != rows * cols:
+    if flat.size != rows * cols:
         raise MalformedInputError(
-            f"data length {len(data)} does not match rows*cols = {rows * cols}"
+            f"data length {flat.size} does not match rows*cols = {rows * cols}"
         )
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     return as_matrix(flat.reshape(rows, cols))
 
 

@@ -5,9 +5,11 @@ distance from 0 is the best separating-halfplane margin (Johnson's
 support-function method, C. R. Johnson, SIAM J. Numer. Anal. 15, 1978):
 
     dist(0, F(M)) = max(0, max_phi g(phi)),   g(phi) = lambda_min(A_phi),
-    A_phi = Herm(e^{i phi} M) = cos(phi) HA + sin(phi) HB.
+    A_phi = Herm(e^{i phi} M) = cos(phi) H1 - sin(phi) H2,
 
-With K_phi = sin(phi) HA - cos(phi) HB = -dA_phi/dphi and the eigenpairs
+where M = H1 + i H2 with H1 = (M + M')/2 and H2 = (M - M')/2i, the
+split that linalg's joint eigenbasis uses.  With
+K_phi = sin(phi) H1 + cos(phi) H2 = -dA_phi/dphi and the eigenpairs
 (lambda_k, psi_k) of A_phi in ascending order,
 
     g'  = -psi_0' K_phi psi_0,
@@ -68,7 +70,7 @@ import numpy as np
 
 from .circlegeom import polygon_exit
 from .errors import NotSquareError, NumericalRangeError
-from .linalg import as_matrix
+from .linalg import _hermitian_parts, as_matrix
 
 _ZERO_TOL = 1e-12
 _WITNESS_TOL = 1e-8
@@ -98,14 +100,8 @@ class _Point(NamedTuple):
     x: np.ndarray
 
 
-def _herm_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ha = (m + m.conj().T) / 2
-    hb = 1j * (m - m.conj().T) / 2
-    return ha, hb
-
-
-def _kphi(ha: np.ndarray, hb: np.ndarray, phi: float) -> np.ndarray:
-    return math.sin(phi) * ha - math.cos(phi) * hb
+def _kphi(h1: np.ndarray, h2: np.ndarray, phi: float) -> np.ndarray:
+    return math.sin(phi) * h1 + math.cos(phi) * h2
 
 
 def _point(phi: float, vals: np.ndarray, vecs: np.ndarray, kphi: np.ndarray) -> _Point:
@@ -124,9 +120,9 @@ def _point(phi: float, vals: np.ndarray, vecs: np.ndarray, kphi: np.ndarray) -> 
     return _Point(phi, g, dg, -g - 2.0 * curv, kink, z, vecs[:, 0])
 
 
-def _evaluate(ha: np.ndarray, hb: np.ndarray, phi: float) -> _Point:
-    vals, vecs = np.linalg.eigh(math.cos(phi) * ha + math.sin(phi) * hb)
-    return _point(phi, vals, vecs, _kphi(ha, hb, phi))
+def _evaluate(h1: np.ndarray, h2: np.ndarray, phi: float) -> _Point:
+    vals, vecs = np.linalg.eigh(math.cos(phi) * h1 - math.sin(phi) * h2)
+    return _point(phi, vals, vecs, _kphi(h1, h2, phi))
 
 
 def _tangent_bound(a: _Point, b: _Point) -> tuple[float, float | None]:
@@ -171,7 +167,7 @@ def _next_angle(x: _Point, a: _Point, b: _Point, cross: float | None) -> float:
 
 
 def _refine(
-    ha: np.ndarray, hb: np.ndarray, a: _Point, b: _Point, radius: float, seen: list
+    h1: np.ndarray, h2: np.ndarray, a: _Point, b: _Point, radius: float, seen: list
 ) -> tuple[_Point, _Point, _Point, float]:
     """Highest g found in [a.phi, b.phi], whose ends hold g' > 0 and g' < 0,
     the bracket's final ends, and an upper bound on g over the whole
@@ -193,7 +189,7 @@ def _refine(
         phi = _next_angle(x, a, b, cross)
         if not a.phi < phi < b.phi:
             break
-        x = _evaluate(ha, hb, phi)
+        x = _evaluate(h1, h2, phi)
         seen.append(x)
         if x.g > best.g:
             best = x
@@ -313,13 +309,13 @@ def _polygon_witness(m: np.ndarray, z: np.ndarray, states: np.ndarray) -> np.nda
     return _span_state(m, states[far], _span_state(m, states[k], states[k1], b), 0.0)
 
 
-def _solve(m: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple[float, np.ndarray]:
+def _solve(m: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray]:
     """Distance and witness from the bracket and its refinement."""
     half = _PHI_SAMPLES // 2
     step = math.pi / half
     phis = step * np.arange(half)
     cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
-    vals, vecs = np.linalg.eigh(cos * ha + sin * hb)
+    vals, vecs = np.linalg.eigh(cos * h1 - sin * h2)
     # sample j + half is phi_j + pi, where A flips sign
     g = np.concatenate([vals[:, 0], -vals[:, -1]])
     # max |lambda| samples the support function of F, whose maximum, the
@@ -331,8 +327,8 @@ def _solve(m: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple[float, np.nda
         phi = j * step
         k = j % (2 * half)
         if k < half:
-            return _point(phi, vals[k], vecs[k], _kphi(ha, hb, phi))
-        return _point(phi, -vals[k - half, ::-1], vecs[k - half][:, ::-1], _kphi(ha, hb, phi))
+            return _point(phi, vals[k], vecs[k], _kphi(h1, h2, phi))
+        return _point(phi, -vals[k - half, ::-1], vecs[k - half][:, ::-1], _kphi(h1, h2, phi))
 
     seen: list[_Point] = []
     ring = np.concatenate([g[-1:], g, g[:1]])
@@ -340,7 +336,7 @@ def _solve(m: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple[float, np.nda
     for j in peaks[np.argsort(-g[peaks], kind="stable")]:
         p = sample(int(j))
         a, b = (p, sample(int(j) + 1)) if p.dg >= 0.0 else (sample(int(j) - 1), p)
-        best, a, b, upper = _refine(ha, hb, a, b, radius, seen)
+        best, a, b, upper = _refine(h1, h2, a, b, radius, seen)
         if best.g > _ZERO_TOL:
             return best.g, _span_state(m, a.x, b.x, _chord_point(a, b))
         if upper <= _ZERO_TOL:
@@ -377,7 +373,7 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
         raise NotSquareError(f"numerical range needs a square matrix, got {m.shape}")
     if n == 1:
         return abs(complex(m[0, 0])), np.ones(1, dtype=complex)
-    dist, witness = _solve(m, *_herm_parts(m))
+    dist, witness = _solve(m, *_hermitian_parts(m))
     if dist > 0.0:
         return dist, witness
     resid = _form_residual(m, witness)

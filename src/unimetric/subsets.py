@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circlegeom import circular_runs
 from .errors import (
     DimensionMismatchError,
     EmptyGeneratorsError,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .linalg import (
     _freeze,
-    _normal_unitary_eig,
+    _joint_eigenbasis,
     as_matrix,
     haar_random_state,
     matrix_to_json,
@@ -233,10 +232,10 @@ def separable_distance(u, v, prob: SeparableProblem) -> MetricResult:
 def null_space(generators) -> NullSpaceResult:
     """Simultaneous eigenstructure of pairwise-commuting unitaries.
 
-    Sequential refinement: diagonalize the first generator, then within
-    each eigenspace diagonalize the compression of the next, and so on.
-    Compressions stay unitary because every generator preserves the
-    eigenspaces of the ones already processed.
+    The basis and blocks come from linalg's joint-eigenbasis kernel, with
+    Hermitian-part eigenvalues within 1e-8 taken as equal.  A block's
+    character for a generator is the sum of the generator's Rayleigh
+    quotients on the block's columns, scaled to modulus one.
     """
     gens = list(generators)
     if not gens:
@@ -251,22 +250,12 @@ def null_space(generators) -> NullSpaceResult:
             dev = float(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max())
             if dev > COMMUTATION_TOL:
                 raise NotCommutingError((i, j), dev)
-    basis = np.eye(n, dtype=complex)
-    blocks: list[tuple[list[int], list[complex]]] = [(list(range(n)), [])]
-    for g in mats:
-        refined: list[tuple[list[int], list[complex]]] = []
-        for cols, chars in blocks:
-            sub = basis[:, cols]
-            comp = sub.conj().T @ g @ sub
-            angles, vecs = _normal_unitary_eig(comp)
-            basis[:, cols] = sub @ vecs
-            for run in circular_runs(angles, COMMUTATION_TOL):
-                char = complex(np.mean(np.exp(1j * angles[run])))
-                char /= abs(char)
-                refined.append(([cols[i] for i in run], chars + [char]))
-        blocks = refined
+    basis, blocks = _joint_eigenbasis(mats)
+    rays = np.array([np.einsum("ij,ij->j", basis.conj(), g @ basis) for g in mats])
+    sums = np.add.reduceat(rays, [cols[0] for cols in blocks], axis=1)
+    characters = (sums / np.abs(sums)).T.tolist()
     return NullSpaceResult(
         common_eigenbasis=_freeze(basis),
-        blocks=tuple(tuple(c) for c, _ in blocks),
-        characters=tuple(tuple(ch) for _, ch in blocks),
+        blocks=tuple(tuple(cols) for cols in blocks),
+        characters=tuple(map(tuple, characters)),
     )

@@ -265,19 +265,12 @@ def _haar_file(tmp_path, name, n, seed):
 
 
 @pytest.mark.parametrize("command", ["dist", "distinguish"])
-def test_one_eigensolve_per_call(command, tmp_path, capsys, monkeypatch):
+def test_one_eigensolve_per_call(command, tmp_path, capsys, counted_eigensolves):
     u = _haar_file(tmp_path, "u", 5, 80)
     v = _haar_file(tmp_path, "v", 5, 81)
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    counted_eigensolves.clear()
     assert cli.main([command, u, v]) == 0
-    assert len(calls) == 1
+    assert len(counted_eigensolves) == 1
 
 
 def test_dist_arc_describes_the_given_order(tmp_path, capsys):

@@ -22,6 +22,7 @@ from unimetric.linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
+    runs,
     schatten_norm,
     trace_distance,
     validate_unitary,
@@ -254,6 +255,35 @@ class TestMatrixJson:
         # rows * cols matches the data length, so only the sign check catches these
         with pytest.raises(MalformedInputError):
             matrix_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": 1, "cols": 1, "data": [5]},
+            {"rows": 1, "cols": 1, "data": [["a", "b"]]},
+            {"rows": 1, "cols": 1, "data": None},
+            {"rows": 1, "cols": 1, "data": [[0, 0, 0]]},
+            {"rows": "x", "cols": 1, "data": [[0, 0]]},
+            {"rows": 1.5, "cols": 1, "data": [[0, 0]]},
+        ],
+    )
+    def test_malformed_fields_raise_typed_error(self, obj):
+        with pytest.raises(MalformedInputError):
+            matrix_from_json(obj)
+
+
+class TestRuns:
+    TOL = 1e-9
+
+    def test_splits_only_at_gaps_above_tol(self):
+        # a chain of small steps is one run, however far it reaches
+        assert runs([0.0, 0.6 * self.TOL, 1.2 * self.TOL], self.TOL) == [[0, 1, 2]]
+        assert runs([0.0, 0.6 * self.TOL, 1.7 * self.TOL], self.TOL) == [[0, 1], [2]]
+
+    def test_period_joins_runs_across_the_wrap(self):
+        values = [0.5 * self.TOL, 1.0, 2 * math.pi - 0.4 * self.TOL]
+        assert runs(values, self.TOL) == [[0], [1], [2]]
+        assert runs(values, self.TOL, 2 * math.pi) == [[0, 2], [1]]
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

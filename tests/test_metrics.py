@@ -133,9 +133,9 @@ class TestSupDistance:
         from unimetric import circlegeom
 
         def fail(*args, **kwargs):
-            raise AssertionError("circular_runs called")
+            raise AssertionError("angle_runs called")
 
-        monkeypatch.setattr(circlegeom, "circular_runs", fail)
+        monkeypatch.setattr(circlegeom, "angle_runs", fail)
         u, v = haar(3, 40), haar(3, 41)
         sup_distance(u, v)
         distinguishability(u, v)
@@ -311,15 +311,8 @@ def test_pair_functions_reject_non_unitary_operands(name, pair):
 
 
 @pytest.mark.parametrize("func", [sup_distance, distinguishability])
-def test_one_eigensolve_per_pair(func, monkeypatch):
+def test_one_eigensolve_per_pair(func, counted_eigensolves):
     u, v = haar(5, 70), haar(5, 71)
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    counted_eigensolves.clear()
     func(u, v)
-    assert len(calls) == 1
+    assert len(counted_eigensolves) == 1

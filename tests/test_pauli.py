@@ -175,6 +175,14 @@ class TestStabilizerSubspace:
                 mix = (b[:, 0] + sign * b[:, 1]) / np.sqrt(2)
                 assert np.linalg.norm(mix - proj @ mix) <= 1e-10
 
+    def test_five_qubit_code_one_eigensolve_per_hermitian_part(self, counted_eigensolves):
+        # every block of a Pauli family has one size at each step, so each
+        # generator's two Hermitian parts take one batched eigensolve each
+        group = PauliSubgroup.from_generators(["+XZZXI", "+IXZZX", "+XIXZZ", "+ZXIXZ"])
+        dec = stabilizer_subspace(group)
+        assert len(dec.faces) == 16
+        assert len(counted_eigensolves) <= 8
+
     def test_generalized_pseudometric_vanishes_on_faces(self):
         group = PauliSubgroup.from_generators(["+ZZ", "+XX"])
         dec = stabilizer_subspace(group)

@@ -160,16 +160,8 @@ class TestMinimalK:
     ],
     ids=["distance_after_k", "minimal_k"],
 )
-def test_eigensolves_per_search_call(call, monkeypatch):
+def test_eigensolves_per_search_call(call, counted_eigensolves):
     # U'V^k has a conjugate eigenvalue pair, so its Hermitian part is a
     # multiple of I and the split eigensolves that cluster once more
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
     call(SearchProblem.from_size(2**20))
-    assert len(calls) == 2
+    assert len(counted_eigensolves) == 2

@@ -210,6 +210,25 @@ class TestNullSpace:
         for g in gens:
             assert np.abs(g @ rho - rho @ g).max() <= 1e-8
 
+    def test_repeated_eigenvalue_straddling_angle_zero(self):
+        # the first generator repeats e^{+-1e-10 i}, on either side of angle
+        # 0, and the second splits that eigenspace
+        q = haar(5, 60)
+        phases = np.array([[1e-10, -1e-10, 1e-10, 2.0, 2.0], [0.5, 1.5, 1.5, 3.0, 4.0]])
+        res = null_space([q * np.exp(1j * p) @ q.conj().T for p in phases])
+        found = []
+        for cols, chars in zip(res.blocks, res.characters):
+            basis = res.common_eigenbasis[:, list(cols)]
+            found.append((basis @ basis.conj().T, np.array(chars)))
+        groups = ([0], [1, 2], [3], [4])
+        assert len(found) == len(groups)
+        for group in groups:
+            proj = q[:, group] @ q[:, group].conj().T
+            chars = np.exp(1j * phases[:, group]).mean(axis=1)
+            hits = [c for p, c in found if np.abs(p - proj).max() <= 1e-8]
+            assert len(hits) == 1
+            assert np.abs(hits[0] - chars / np.abs(chars)).max() <= 1e-12
+
     def test_noncommuting_rejected(self):
         with pytest.raises(NotCommutingError) as exc:
             null_space([X, Z])
