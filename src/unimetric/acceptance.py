@@ -38,13 +38,13 @@ def _rotated_spectrum_unitary(rng: np.random.Generator, angles: np.ndarray) -> n
     return (q * np.exp(1j * angles)) @ q.conj().T
 
 
-def _check_arc_formula(seed: int, tol: float = 1e-12) -> tuple[bool, str]:
+def _check_arc_formula(seed: int) -> tuple[bool, str]:
     thetas = np.arange(1, 51) / 51.0 * math.pi
     worst = 0.0
     for th in thetas:
         val = sup_distance(np.eye(2), np.diag([1.0, np.exp(1j * th)])).value
         worst = max(worst, abs(val - math.sin(th / 2.0)))
-    return worst <= tol, f"max |d - sin(theta/2)| = {worst:.3e} over 50 angles in (0, pi)"
+    return worst <= 1e-12, f"max |d - sin(theta/2)| = {worst:.3e} over 50 angles in (0, pi)"
 
 
 def _check_semicircle_saturation(seed: int) -> tuple[bool, str]:
@@ -458,20 +458,14 @@ def check_names() -> list[str]:
     return [name for name, _ in _CHECKS]
 
 
-def run_checks(
-    indices: list[int] | None = None, seed: int = 0, corrupt: bool = False
-) -> list[CheckResult]:
-    """Run the numbered checks (1-based); ``corrupt`` is a test hook that
-    tightens the first tolerance to an impossible value to force failure."""
+def run_checks(indices: list[int] | None = None, seed: int = 0) -> list[CheckResult]:
+    """Run the numbered checks (1-based)."""
     chosen = indices or list(range(1, len(_CHECKS) + 1))
     results = []
     for idx in chosen:
         name, fn = _CHECKS[idx - 1]
         start = time.perf_counter()
-        if corrupt and fn is _check_arc_formula:
-            passed, detail = fn(seed, tol=-1.0)
-        else:
-            passed, detail = fn(seed)
+        passed, detail = fn(seed)
         results.append(
             CheckResult(
                 index=idx,

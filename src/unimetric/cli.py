@@ -232,8 +232,7 @@ def _cmd_selftest(args) -> int:
         bad = [i for i in indices if not 1 <= i <= len(acceptance.check_names())]
         if bad:
             raise _CliError(_EXIT_PARSE, f"unknown criteria {bad}")
-    corrupt = os.environ.get("UNIMETRIC_SELFTEST_CORRUPT", "") not in ("", "0")
-    results = acceptance.run_checks(indices=indices, seed=args.seed, corrupt=corrupt)
+    results = acceptance.run_checks(indices=indices, seed=args.seed)
     print(acceptance.format_table(results))
     return _EXIT_OK if all(r.passed for r in results) else _EXIT_SELFTEST
 
@@ -280,8 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--dims", required=True, help="factor dimensions m,n")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-alternations", type=int, default=200)
+    # a dataclass field's default is also its class attribute
+    p.add_argument("--restarts", type=int, default=subsets.SeparableProblem.restarts)
+    p.add_argument(
+        "--max-alternations", type=int, default=subsets.SeparableProblem.max_alternations
+    )
     p.add_argument("--seed", type=int, default=_default_seed())
     add_output_flags(p)
 

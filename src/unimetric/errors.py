@@ -105,6 +105,21 @@ class NumericalRangeError(UnimetricError):
         )
 
 
+class InternalCheckError(UnimetricError):
+    """A computed result failed one of the library's own checks.
+
+    Carries the measured value and the bound it exceeded.
+    """
+
+    def __init__(self, quantity: str, value: float, bound: float):
+        self.quantity = quantity
+        self.value = float(value)
+        self.bound = float(bound)
+        super().__init__(
+            f"internal check failed: {quantity} = {value:.6g} exceeds its bound {bound:.6g}"
+        )
+
+
 class UnreachableToleranceError(UnimetricError):
     """No power within the first period reaches the requested tolerance.
 

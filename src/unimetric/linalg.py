@@ -9,8 +9,9 @@ values and safe for concurrent use.
 One kernel finds the joint eigenbasis of commuting unitaries, for the
 spectrum of one (W) and the null space of a family: each is split as
 W = H1 + i H2 with H1 = (W + W')/2 and H2 = (W - W')/(2i), the first part
-is diagonalized with a Hermitian solver, and every later part is
-re-diagonalized on each block of equal eigenvalues left so far.  This
+is diagonalized with a Hermitian solver and split coarsely, every later
+part is re-diagonalized on each block of equal eigenvalues left so far,
+and blocks whose first-part eigenvalues spread are split by it again.  This
 keeps every solve well-conditioned and avoids a general nonsymmetric
 eigensolver (Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993).
 """
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
+    InternalCheckError,
     InvalidPError,
     MalformedInputError,
     NotDensityError,
@@ -42,6 +44,8 @@ DENSITY_TOL = 1e-10
 EIGEN_TOL = 1e-8
 # Hermitian-part eigenvalues closer than this are taken as equal
 _CLUSTER_TOL = 1e-8
+# first split of the first Hermitian part; see _joint_eigenbasis
+_COARSE_TOL = 1e-6
 
 
 def as_matrix(m) -> np.ndarray:
@@ -150,28 +154,48 @@ def _hermitian_parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (w + w.conj().T) / 2, (w - w.conj().T) / 2j
 
 
+def _split(basis: np.ndarray, blocks: list[list[int]], h: np.ndarray, tol: float) -> list:
+    """Re-diagonalize h on every block of more than one column, in place in
+    ``basis`` (one batched eigensolve per block size), and split each block
+    into runs of its eigenvalues at ``tol``."""
+    split = {}
+    for size in {len(cols) for cols in blocks} - {1}:
+        group = [cols for cols in blocks if len(cols) == size]
+        sub = basis[:, group].transpose(1, 0, 2)
+        comp = sub.conj().transpose(0, 2, 1) @ h @ sub
+        vals, vecs = np.linalg.eigh((comp + comp.conj().transpose(0, 2, 1)) / 2)
+        basis[:, group] = (sub @ vecs).transpose(1, 0, 2)
+        for cols, v in zip(group, vals):
+            split[cols[0]] = [[cols[i] for i in run] for run in runs(v, tol)]
+    return [part for cols in blocks for part in split.get(cols[0], [cols])]
+
+
 def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
     """Joint eigenbasis of commuting (near-)unitaries, and its blocks: runs
     of adjacent columns, ascending, on which every operator is scalar.
 
-    Each later Hermitian part is re-diagonalized on every block of more
-    than one column (one batched eigensolve per block size), and its
-    eigenvalues split the block into runs at ``_CLUSTER_TOL``.
+    The first Hermitian part splits at ``_COARSE_TOL`` and every later one
+    at ``_CLUSTER_TOL``.  Eigenvalues e^{i theta} and e^{-i(theta + g)}
+    have first-part values about g apart, and eigenvectors that a split
+    there separates carry errors of about eps / g; kept together, a later
+    part separates them well.  Only the blocks whose first-part values
+    spread beyond ``_CLUSTER_TOL`` are split by the first part again.
     """
     parts = [h for w in operators for h in _hermitian_parts(w)]
     vals, basis = np.linalg.eigh(parts[0])
-    blocks = runs(vals, _CLUSTER_TOL)
+    blocks = runs(vals, _COARSE_TOL)
+    uneven = {
+        c
+        for cols in blocks
+        if len(cols) > 1 and vals[cols[-1]] - vals[cols[0]] > _CLUSTER_TOL
+        for c in cols
+    }
     for h in parts[1:]:
-        split = {}
-        for size in {len(cols) for cols in blocks} - {1}:
-            group = [cols for cols in blocks if len(cols) == size]
-            sub = basis[:, group].transpose(1, 0, 2)
-            comp = sub.conj().transpose(0, 2, 1) @ h @ sub
-            vals, vecs = np.linalg.eigh((comp + comp.conj().transpose(0, 2, 1)) / 2)
-            basis[:, group] = (sub @ vecs).transpose(1, 0, 2)
-            for cols, v in zip(group, vals):
-                split[cols[0]] = [[cols[i] for i in run] for run in runs(v, _CLUSTER_TOL)]
-        blocks = [part for cols in blocks for part in split.get(cols[0], [cols])]
+        blocks = _split(basis, blocks, h, _CLUSTER_TOL)
+    if uneven:
+        even = [cols for cols in blocks if cols[0] not in uneven]
+        resplit = [cols for cols in blocks if cols[0] in uneven]
+        blocks = sorted(even + _split(basis, resplit, parts[0], _CLUSTER_TOL))
     return basis, blocks
 
 
@@ -211,9 +235,7 @@ def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
     angles = reduce_angles(np.arctan2(ray.imag, ray.real))
     resid = np.linalg.norm(av - vecs * np.exp(1j * angles), axis=0)
     if resid.max() > EIGEN_TOL:
-        raise RuntimeError(
-            f"eigendecomposition residual {resid.max():.3e} exceeds {EIGEN_TOL:.1e}"
-        )
+        raise InternalCheckError("eigendecomposition residual", resid.max(), EIGEN_TOL)
     order = np.argsort(angles, kind="stable")
     return UnitaryOperator(
         matrix=_freeze(a),

@@ -30,14 +30,17 @@ on at most one arc, and there g'' <= -g < 0.
   g' < 0.  It is the shorter of a Newton step on g' and the step to the
   nearest kink, where lambda_0 meets another eigenvalue along their
   tangents; the kink is the usual maximum of a normal matrix whose
-  nearest point lies inside an edge.  When neither stays inside, the step
-  goes to where the tangents of g at the two ends cross.  Once both ends
-  have g > 0, those tangents bound the maximum from above, and so does
-  the distance from 0 to the chord between the points <psi_0|M|psi_0> of
-  the two ends, which lie in F.  Refinement stops when the bound is
-  within 1e-13 of the best value found.  A candidate is rejected as soon
-  as g'' <= -g <= w shows that g < 0 on its bracket, and a chord through
-  0 shows that 0 lies in F.
+  nearest point lies inside an edge.  The chord between the points
+  <psi_0|M|psi_0> of the two ends lies in F, so its distance from 0
+  bounds the maximum from above, and when neither step stays inside, the
+  step goes to the direction normal to the chord at its point nearest 0
+  (the midpoint when that direction falls outside the bracket).  That
+  step is exact when the nearest point is a vertex of F, as for c I,
+  whose tied eigenvalues refuse the other two.  Refinement stops when
+  the bound is within 1e-13 of the best value found.  A candidate is
+  rejected as soon as each end's tangent, taken at the far end, and
+  g'' <= -g <= w show that g < 0 on its bracket, and a chord through 0
+  shows that 0 lies in F.
 * Witness: every eigenvector the solver computes is a support state x
   of F, and its point z = <x|M|x> lies on the boundary of F.  The range
   of the 2x2 compression onto span(x, y) holds the segment between the
@@ -63,6 +66,7 @@ normal, so the circle geometry of the full-space metric does not apply.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -125,22 +129,6 @@ def _evaluate(h1: np.ndarray, h2: np.ndarray, phi: float) -> _Point:
     return _point(phi, vals, vecs, _kphi(h1, h2, phi))
 
 
-def _tangent_bound(a: _Point, b: _Point) -> tuple[float, float | None]:
-    """Max over [a.phi, b.phi] of the lower of the tangents at a and b,
-    and the angle where they cross inside (None if they do not).
-
-    Tangents lie above a concave function, so this bounds g on the
-    bracket when both ends have g > 0.
-    """
-    width = b.phi - a.phi
-    slope = a.dg - b.dg
-    if slope > 0.0:
-        s = (b.g - a.g - b.dg * width) / slope
-        if 0.0 < s < width:
-            return a.g + a.dg * s, a.phi + s
-    return max(min(a.g, b.g - b.dg * width), min(a.g + a.dg * width, b.g)), None
-
-
 def _chord_point(a: _Point, b: _Point) -> complex:
     """Point of the segment [a.z, b.z] nearest 0.
 
@@ -153,40 +141,41 @@ def _chord_point(a: _Point, b: _Point) -> complex:
     return a.z + t * d
 
 
-def _next_angle(x: _Point, a: _Point, b: _Point, cross: float | None) -> float:
+def _next_angle(x: _Point, a: _Point, b: _Point) -> float:
     """The shorter of the Newton step on g' and the step to the nearest
-    kink, if it stays inside the bracket; else the tangent crossing, or
-    the midpoint."""
+    kink, if it stays inside the bracket; else the direction normal to the
+    chord at its point nearest 0, or the midpoint when that falls outside."""
     steps = [x.kink]
     if x.d2g < 0.0:
         steps.append(-x.dg / x.d2g)
     for step in sorted(steps, key=abs):
         if a.phi < x.phi + step < b.phi:
             return x.phi + step
-    return cross if cross is not None else 0.5 * (a.phi + b.phi)
+    # g(phi) supports direction e^{-i phi}, so the normal through c is -arg(c)
+    phi = a.phi + (-cmath.phase(_chord_point(a, b)) - a.phi) % (2.0 * math.pi)
+    return phi if a.phi < phi < b.phi else 0.5 * (a.phi + b.phi)
 
 
 def _refine(
     h1: np.ndarray, h2: np.ndarray, a: _Point, b: _Point, radius: float, seen: list
 ) -> tuple[_Point, _Point, _Point, float]:
     """Highest g found in [a.phi, b.phi], whose ends hold g' > 0 and g' < 0,
-    the bracket's final ends, and an upper bound on g over the whole
-    circle.  Every point evaluated is appended to ``seen``."""
+    the bracket's final ends, and the least distance from 0 of the chords
+    between the ends, which bounds g over the whole circle from above.
+    Every point evaluated is appended to ``seen``."""
     best = x = a if a.g >= b.g else b
     tol = _BOUND_TOL * max(1.0, radius)
     upper = abs(_chord_point(a, b))
     for _ in range(_NEWTON_STEPS):
         width = b.phi - a.phi
-        tangent, cross = _tangent_bound(a, b)
         upper = min(upper, abs(_chord_point(a, b)))
-        if a.g > 0.0 and b.g > 0.0:
-            upper = min(upper, tangent)
         if upper - best.g <= tol or upper <= _ZERO_TOL:
             break
-        # g'' <= -g <= radius, so g < 0 on the whole bracket
-        if tangent + 0.5 * radius * width * width < 0.0:
+        # g'' <= -g <= radius, so each end's tangent taken at the far end,
+        # plus radius * width^2 / 2, bounds g on the bracket: g < 0 on all of it
+        if min(a.g + a.dg * width, b.g - b.dg * width) + 0.5 * radius * width * width < 0.0:
             break
-        phi = _next_angle(x, a, b, cross)
+        phi = _next_angle(x, a, b)
         if not a.phi < phi < b.phi:
             break
         x = _evaluate(h1, h2, phi)

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAnglesError, OutOfRangeError, UnreachableToleranceError
+from .errors import (
+    InternalCheckError,
+    InvalidAnglesError,
+    OutOfRangeError,
+    UnreachableToleranceError,
+)
 from .linalg import UnitaryOperator, validate_unitary
 from .metrics import sup_distance
 
@@ -113,7 +118,9 @@ def minimal_k(p: SearchProblem, epsilon: float) -> tuple[int, float]:
     the first integer in the window is verified by evaluation.  Only the
     first period k <= ceil(pi/gamma) is searched; beyond it the distance
     repeats.  Raises UnreachableToleranceError (carrying the best k and
-    its achieved distance) when the window contains no integer.
+    its achieved distance) when the window contains no integer, and
+    InternalCheckError when gamma = alpha = arcsin(1/sqrt(N)) and the
+    k found exceeds ceil((pi/2) sqrt(N)).
     """
     if not (0.0 < epsilon < 1.0):
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -122,19 +129,16 @@ def minimal_k(p: SearchProblem, epsilon: float) -> tuple[int, float]:
     lo = (math.pi / 2 - delta - p.alpha) / p.gamma
     hi = (math.pi / 2 + delta - p.alpha) / p.gamma
     k0 = max(0, math.ceil(lo - 1e-12))
-    if k0 > hi + 1e-12 or k0 > period_max:
-        ks = np.arange(0, period_max + 1)
-        best = int(ks[np.argmin(_formula_distance(p, ks))])
-        raise UnreachableToleranceError(best, distance_after_k(p, best), epsilon)
-    # verify by evaluation, stepping over float fenceposts if needed
-    for k in range(k0, min(k0 + 3, period_max + 1)):
-        achieved = distance_after_k(p, k)
-        if achieved <= epsilon + 1e-9:
-            if p.N is not None and p.gamma == p.alpha:
-                bound = math.ceil((math.pi / 2) * math.sqrt(p.N))
-                if k > bound:
-                    raise RuntimeError(f"minimal k = {k} exceeds (pi/2) sqrt(N) = {bound}")
-            return k, achieved
+    if k0 <= hi + 1e-12:
+        # verify by evaluation, stepping over float fenceposts if needed
+        for k in range(k0, min(k0 + 3, period_max + 1)):
+            achieved = distance_after_k(p, k)
+            if achieved <= epsilon + 1e-9:
+                if p.N is not None and p.gamma == p.alpha:
+                    bound = math.ceil((math.pi / 2) * math.sqrt(p.N))
+                    if k > bound:
+                        raise InternalCheckError("minimal k", k, bound)
+                return k, achieved
     ks = np.arange(0, period_max + 1)
     best = int(ks[np.argmin(_formula_distance(p, ks))])
     raise UnreachableToleranceError(best, distance_after_k(p, best), epsilon)

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from unimetric import cli
-from unimetric.linalg import haar_random_unitary, matrix_to_json, save_matrix
+from unimetric import cli, linalg
+from unimetric.linalg import haar_random_unitary, haar_unitaries, matrix_to_json, save_matrix
 from unimetric.metrics import sup_distance
 
 CNOT = np.eye(4)[[0, 1, 3, 2]].astype(complex)
@@ -232,7 +232,10 @@ class TestSelftest:
         assert "2/2 checks passed" in out
 
     def test_corrupt_hook_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNIMETRIC_SELFTEST_CORRUPT", "1")
+        from unimetric import acceptance
+
+        failing = ("arc formula exactness", lambda seed: (False, "forced failure"))
+        monkeypatch.setattr(acceptance, "_CHECKS", [failing, *acceptance._CHECKS[1:]])
         code = cli.main(["selftest", "--criteria", "1"])
         out = capsys.readouterr().out
         assert code == 1
@@ -330,6 +333,26 @@ def test_zero_restarts_exit_5_without_traceback(matrix_files):
     )
     assert proc.returncode == 5
     assert "Traceback" not in proc.stderr
+
+
+def test_failed_residual_check_exits_5_without_traceback(tmp_path, capsys, monkeypatch):
+    u = _haar_file(tmp_path, "u", 3, 84)
+    v = _haar_file(tmp_path, "v", 3, 85)
+    monkeypatch.setattr(linalg, "EIGEN_TOL", -1.0)
+    assert cli.main(["dist", u, v]) == 5
+    err = capsys.readouterr().err
+    assert "eigendecomposition residual" in err
+    assert "Traceback" not in err
+
+
+def test_mirror_pair_dist_exits_0(tmp_path, matrix_files):
+    # eigenvalues e^{i} and e^{-i(1 + 1.5e-8)}: their Hermitian parts nearly tie
+    q = haar_unitaries(np.random.default_rng(9), 1, 3)[0]
+    w = (q * np.exp(1j * np.array([1.0, 2 * math.pi - 1.0 - 1.5e-8, 2.5]))) @ q.conj().T
+    save_matrix(tmp_path / "w.json", w)
+    proc = _run_cli("dist", matrix_files["I3"], str(tmp_path / "w.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 1.0
 
 
 def test_import_does_not_load_scipy():

@@ -19,6 +19,7 @@ from unimetric.linalg import (
     DensityState,
     as_matrix,
     haar_random_unitary,
+    haar_unitaries,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -270,6 +271,30 @@ class TestMatrixJson:
     def test_malformed_fields_raise_typed_error(self, obj):
         with pytest.raises(MalformedInputError):
             matrix_from_json(obj)
+
+
+def mirror_pair_unitary(rng, theta, gap, third):
+    """Unitary with eigenvalues e^{i theta} and e^{-i(theta + gap)}, whose
+    Hermitian-part values cos(theta) and cos(theta + gap) nearly tie."""
+    q = haar_unitaries(rng, 1, 3)[0]
+    return (q * np.exp(1j * np.array([theta, 2 * math.pi - theta - gap, third]))) @ q.conj().T
+
+
+def eigen_residual(w, op):
+    return np.linalg.norm(w @ op.eigen_vectors - op.eigen_vectors * op.eigenvalues(), axis=0).max()
+
+
+class TestMirrorPairs:
+    def test_reproducer_decomposes(self):
+        w = mirror_pair_unitary(np.random.default_rng(9), 1.0, 1.5e-8, 2.5)
+        assert eigen_residual(w, validate_unitary(w)) <= 1e-9
+
+    def test_seeded_corpus_decomposes(self):
+        rng = np.random.default_rng([9, 3])
+        for _ in range(30):
+            theta, gap = rng.uniform(0.0, math.pi), 10 ** rng.uniform(-8, -6)
+            w = mirror_pair_unitary(rng, theta, gap, rng.uniform(0.0, 2 * math.pi))
+            assert eigen_residual(w, validate_unitary(w)) <= 1e-9
 
 
 class TestRuns:

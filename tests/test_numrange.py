@@ -291,6 +291,22 @@ def test_eigensolves_per_positive_call(counted_eigensolves):
     assert worst <= 8
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e3])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_scalar_matrix_is_exact_in_few_eigensolves(n, scale, counted_eigensolves):
+    # every eigenvalue of A_phi ties, so Newton and kink steps are refused;
+    # F is the single point c, and the chord's normal points straight at it
+    rng = np.random.default_rng([31, n])
+    phases = [0.0, math.pi / 2, math.pi, -math.pi / 2, *rng.uniform(0, 2 * math.pi, 4)]
+    for phase in phases:
+        c = scale * rng.uniform(0.5, 2.0) * complex(math.cos(phase), math.sin(phase))
+        counted_eigensolves.clear()
+        dist, wit = numrange_origin_distance(c * np.eye(n))
+        assert abs(dist - abs(c)) <= 4 * np.finfo(float).eps * abs(c)
+        assert len(counted_eigensolves) <= 3
+        assert abs(np.linalg.norm(wit) - 1.0) <= 1e-12
+
+
 def test_eigensolves_per_zero_call(counted_eigensolves):
     # the witness reuses the bracket's and the refinement's eigenvectors
     rng = np.random.default_rng(8)

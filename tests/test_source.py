@@ -14,6 +14,24 @@ def test_no_assert_in_library_code(path):
     assert lines == [], f"assert statements at lines {lines}"
 
 
+def _raised_name(exc):
+    target = exc.func if isinstance(exc, ast.Call) else exc
+    return target.id if isinstance(target, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_bare_runtime_error_in_library_code(path):
+    # a failed internal check raises a typed UnimetricError, which the CLI maps to exit 5
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and _raised_name(node.exc) == "RuntimeError"
+    ]
+    assert lines == [], f"bare RuntimeError raised at lines {lines}"
+
+
 def test_public_names_resolve():
     # every exported name exists, and __all__ lists exactly what __init__ imports
     import unimetric
