@@ -8,12 +8,13 @@ values and safe for concurrent use.
 
 One kernel finds the joint eigenbasis of commuting unitaries, for the
 spectrum of one (W) and the null space of a family: each is split as
-W = H1 + i H2 with H1 = (W + W')/2 and H2 = (W - W')/(2i), the first part
-is diagonalized with a Hermitian solver and split coarsely, every later
-part is re-diagonalized on each block of equal eigenvalues left so far,
-and blocks whose first-part eigenvalues spread are split by it again.  This
-keeps every solve well-conditioned and avoids a general nonsymmetric
-eigensolver (Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993).
+W = H1 + i H2 with H1 = (W + W')/2 and H2 = (W - W')/(2i).  Operator by
+operator, H1 is diagonalized with a Hermitian solver on each block of
+equal eigenvalues left so far (the whole space for the first) and split
+coarsely, H2 is re-diagonalized on each block, and blocks whose H1
+eigenvalues spread are split by H1 again.  This keeps every solve
+well-conditioned and avoids a general nonsymmetric eigensolver
+(Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ DENSITY_TOL = 1e-10
 EIGEN_TOL = 1e-8
 # Hermitian-part eigenvalues closer than this are taken as equal
 _CLUSTER_TOL = 1e-8
-# first split of the first Hermitian part; see _joint_eigenbasis
+# first split of each operator's first Hermitian part; see _joint_eigenbasis
 _COARSE_TOL = 1e-6
 
 
@@ -154,11 +155,14 @@ def _hermitian_parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (w + w.conj().T) / 2, (w - w.conj().T) / 2j
 
 
-def _split(basis: np.ndarray, blocks: list[list[int]], h: np.ndarray, tol: float) -> list:
+def _split(
+    basis: np.ndarray, blocks: list[list[int]], h: np.ndarray, tol: float
+) -> tuple[list, set]:
     """Re-diagonalize h on every block of more than one column, in place in
     ``basis`` (one batched eigensolve per block size), and split each block
-    into runs of its eigenvalues at ``tol``."""
-    split = {}
+    into runs of its eigenvalues at ``tol``.  Also returns the columns of
+    the runs whose eigenvalues spread beyond ``_CLUSTER_TOL``."""
+    split, uneven = {}, set()
     for size in {len(cols) for cols in blocks} - {1}:
         group = [cols for cols in blocks if len(cols) == size]
         sub = basis[:, group].transpose(1, 0, 2)
@@ -166,36 +170,48 @@ def _split(basis: np.ndarray, blocks: list[list[int]], h: np.ndarray, tol: float
         vals, vecs = np.linalg.eigh((comp + comp.conj().transpose(0, 2, 1)) / 2)
         basis[:, group] = (sub @ vecs).transpose(1, 0, 2)
         for cols, v in zip(group, vals):
-            split[cols[0]] = [[cols[i] for i in run] for run in runs(v, tol)]
-    return [part for cols in blocks for part in split.get(cols[0], [cols])]
+            parts = runs(v, tol)
+            split[cols[0]] = [[cols[i] for i in run] for run in parts]
+            uneven.update(
+                cols[i]
+                for run in parts
+                if len(run) > 1 and v[run[-1]] - v[run[0]] > _CLUSTER_TOL
+                for i in run
+            )
+    return [part for cols in blocks for part in split.get(cols[0], [cols])], uneven
 
 
 def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
     """Joint eigenbasis of commuting (near-)unitaries, and its blocks: runs
     of adjacent columns, ascending, on which every operator is scalar.
 
-    The first Hermitian part splits at ``_COARSE_TOL`` and every later one
-    at ``_CLUSTER_TOL``.  Eigenvalues e^{i theta} and e^{-i(theta + g)}
-    have first-part values about g apart, and eigenvectors that a split
-    there separates carry errors of about eps / g; kept together, a later
-    part separates them well.  Only the blocks whose first-part values
-    spread beyond ``_CLUSTER_TOL`` are split by the first part again.
+    Each operator's first Hermitian part splits the blocks so far at
+    ``_COARSE_TOL`` and its second at ``_CLUSTER_TOL``.  Eigenvalues
+    e^{i theta} and e^{-i(theta + g)} have first-part values about g
+    apart, and eigenvectors that a split there separates carry errors of
+    about eps / g; kept together, the second part separates them well.
+    Only the blocks whose first-part values spread beyond ``_CLUSTER_TOL``
+    are split by the first part again.
     """
-    parts = [h for w in operators for h in _hermitian_parts(w)]
-    vals, basis = np.linalg.eigh(parts[0])
-    blocks = runs(vals, _COARSE_TOL)
-    uneven = {
-        c
-        for cols in blocks
-        if len(cols) > 1 and vals[cols[-1]] - vals[cols[0]] > _CLUSTER_TOL
-        for c in cols
-    }
-    for h in parts[1:]:
-        blocks = _split(basis, blocks, h, _CLUSTER_TOL)
-    if uneven:
-        even = [cols for cols in blocks if cols[0] not in uneven]
-        resplit = [cols for cols in blocks if cols[0] in uneven]
-        blocks = sorted(even + _split(basis, resplit, parts[0], _CLUSTER_TOL))
+    basis = None
+    for w in operators:
+        h1, h2 = _hermitian_parts(w)
+        if basis is None:
+            vals, basis = np.linalg.eigh(h1)
+            blocks = runs(vals, _COARSE_TOL)
+            uneven = {
+                c
+                for cols in blocks
+                if len(cols) > 1 and vals[cols[-1]] - vals[cols[0]] > _CLUSTER_TOL
+                for c in cols
+            }
+        else:
+            blocks, uneven = _split(basis, blocks, h1, _COARSE_TOL)
+        blocks, _ = _split(basis, blocks, h2, _CLUSTER_TOL)
+        if uneven:
+            even = [cols for cols in blocks if cols[0] not in uneven]
+            resplit = [cols for cols in blocks if cols[0] in uneven]
+            blocks = sorted(even + _split(basis, resplit, h1, _CLUSTER_TOL)[0])
     return basis, blocks
 
 

@@ -59,6 +59,11 @@ on at most one arc, and there g'' <= -g < 0.
   polygon, or the polygon's point nearest 0.  b is solved on
   span(x_k, x_k+1), then 0 on span(x_a, x_b): two solves.  A zero
   witness that misses |<psi|M|psi>| <= 1e-8 raises NumericalRangeError.
+* n = 2: F is a filled ellipse (elliptical range theorem, C.-K. Li,
+  Proc. AMS 124, 1996), so one exact 2x2 solve on the Bloch sphere gives
+  the witness, a zero of the form or the state of the point of F nearest
+  0.  The distance is |<x|M|x>|, read as 0 at or below the same 1e-12
+  that g is read against.  No bracket and no eigensolve.
 
 Needed because compressions of unitaries onto subspaces are no longer
 normal, so the circle geometry of the full-space metric does not apply.
@@ -235,8 +240,11 @@ def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
         # C is scalar: every state has the same form value
         return np.array([1.0, 0.0], dtype=complex)
     v1 = [x / s1 for x in g1]
-    a = _dot(g2, v1)
-    v2 = [x - a * y for x, y in zip(g2, v1)]
+    v2 = g2
+    # twice: one pass leaves v2 far from orthogonal when g2 nearly lies along v1
+    for _ in range(2):
+        a = _dot(v2, v1)
+        v2 = [x - a * y for x, y in zip(v2, v1)]
     s2 = math.sqrt(_dot(v2, v2))
     if s2 == 0.0:
         j = min(range(3), key=lambda i: abs(v1[i]))
@@ -347,7 +355,9 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     the distance within 1e-6 (typically far better).  The witness is
     solved on the span of two support states the solver already holds:
     one exact 2x2 solve when 0 lies outside F, two when it lies inside.
-    A distance of 0.0 comes with |<psi|M|psi>| <= 1e-8.
+    A 2x2 matrix is that one solve alone, and its distance is
+    |<witness|M|witness>|.  A distance of 0.0 comes with
+    |<psi|M|psi>| <= 1e-8.
 
     Raises
     ------
@@ -362,7 +372,13 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
         raise NotSquareError(f"numerical range needs a square matrix, got {m.shape}")
     if n == 1:
         return abs(complex(m[0, 0])), np.ones(1, dtype=complex)
-    dist, witness = _solve(m, *_hermitian_parts(m))
+    if n == 2:
+        witness = _quadratic_form_zero_2x2(m)
+        dist = _form_residual(m, witness)
+        if dist <= _ZERO_TOL:
+            dist = 0.0
+    else:
+        dist, witness = _solve(m, *_hermitian_parts(m))
     if dist > 0.0:
         return dist, witness
     resid = _form_residual(m, witness)

@@ -223,6 +223,20 @@ class TestOtherCommands:
         assert len(lines) == 3
 
 
+    @pytest.mark.parametrize("alpha", [2.0, math.pi], ids=["arc", "antipodal"])
+    def test_numrange_two_by_two(self, alpha, tmp_path, capsys):
+        # the range of a 2x2 unitary is the chord between its eigenvalues;
+        # an antipodal pair puts 0 on it
+        q = haar_unitaries(np.random.default_rng(29), 1, 2)[0]
+        path = tmp_path / "w.json"
+        save_matrix(path, (q * np.exp(1j * np.array([0.4, 0.4 + alpha]))) @ q.conj().T)
+        code, payload = run_json(capsys, ["numrange", str(path)])
+        assert code == 0
+        assert payload["numrange_distance"] == pytest.approx(payload["polygon_distance"], abs=1e-12)
+        if alpha == math.pi:
+            assert payload["numrange_distance"] == 0.0
+
+
 class TestSelftest:
     def test_subset_passes(self, capsys):
         code = cli.main(["selftest", "--criteria", "1,2"])

@@ -296,6 +296,21 @@ class TestMirrorPairs:
             w = mirror_pair_unitary(rng, theta, gap, rng.uniform(0.0, 2 * math.pi))
             assert eigen_residual(w, validate_unitary(w)) <= 1e-9
 
+    @pytest.mark.parametrize("mirror_first", [False, True], ids=["identity-first", "mirror-first"])
+    def test_null_space_of_every_generator_order(self, mirror_first):
+        # the coarse split applies to each generator, not only the first
+        rng = np.random.default_rng([9, 5])
+        draws = [(1.0, 1.5e-8, 2.5)]
+        draws += [(rng.uniform(0.0, math.pi), 10 ** rng.uniform(-8, -6), 2.5) for _ in range(10)]
+        for theta, gap, third in draws:
+            w = mirror_pair_unitary(rng, theta, gap, third)
+            gens = [w, np.eye(3)] if mirror_first else [np.eye(3), w]
+            res = null_space(gens)
+            for cols, chars in zip(res.blocks, res.characters):
+                v = res.common_eigenbasis[:, list(cols)]
+                for g, chi in zip(gens, chars):
+                    assert np.linalg.norm(g @ v - chi * v, axis=0).max() <= 1e-13
+
 
 class TestRuns:
     TOL = 1e-9

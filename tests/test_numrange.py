@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from unimetric import numrange
 from unimetric.circlegeom import polygon_distance_to_origin
 from unimetric.errors import EmptyInputError, NotSquareError, NumericalRangeError
-from unimetric.linalg import haar_random_unitary, haar_unitaries
+from unimetric.linalg import _hermitian_parts, haar_random_unitary, haar_unitaries
 from unimetric.numrange import numrange_origin_distance
 
 seeds = st.integers(0, 10_000)
@@ -341,6 +341,18 @@ class TestQuadraticFormZero2x2:
             assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
             assert abs(form_value(c, x)) <= 1e-13 * np.abs(c).max()
 
+    def test_segment_through_zero_to_rounding(self):
+        # a Hermitian times a phase has nearly parallel Bloch planes, and
+        # the second plane's normal must still come out orthogonal to the first
+        rng = np.random.default_rng(28)
+        for _ in range(500):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            h = g + g.conj().T
+            h -= np.linalg.eigvalsh(h).mean() * np.eye(2)
+            c = np.exp(1j * rng.uniform(0, 2 * math.pi)) * h
+            x = numrange._quadratic_form_zero_2x2(c)
+            assert abs(form_value(c, x)) <= 4 * np.finfo(float).eps * np.abs(c).max()
+
     def test_nearest_point_when_zero_outside(self):
         # the form value is the point of the range nearest 0, whose
         # distance the support-function solver gives independently
@@ -349,8 +361,53 @@ class TestQuadraticFormZero2x2:
             c = random_matrix(rng, 2, k % 2 == 1)
             c = at_distance(c, rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-6, 0))
             x = numrange._quadratic_form_zero_2x2(c)
-            dist, _ = numrange_origin_distance(c)
+            dist, _ = numrange._solve(c, *_hermitian_parts(c))
             assert abs(form_value(c, x)) == pytest.approx(dist, abs=1e-9)
+
+
+def two_by_two_corpus(rng, count):
+    """2x2 matrices of every kind, each as drawn and shifted to 1e-9 outside
+    and inside its boundary, scaled so that max |m| is 1e-4, 1 and 1e3."""
+    for scale in (1e-4, 1.0, 1e3):
+        for k in range(count):
+            kind = k % 5
+            if kind < 3:
+                m = random_matrix(rng, 2, kind == 1)
+                if kind == 2:
+                    m = m - np.trace(m) / 2 * np.eye(2)
+            elif kind == 3:
+                g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                h = g + g.conj().T + rng.standard_normal() * np.eye(2)
+                m = np.exp(1j * rng.uniform(0, 2 * math.pi)) * h
+            else:
+                m = complex(*rng.standard_normal(2)) * np.eye(2)
+            m = m / np.abs(m).max()
+            yield scale * m
+            for d in (1e-9, -1e-9):
+                yield scale * at_distance(m, rng.uniform(0, 2 * math.pi), d)
+
+
+class TestTwoByTwo:
+    # n = 2 is one exact 2x2 solve; the bracket solver, which every n >= 3
+    # takes, is the oracle
+    CORPUS = list(two_by_two_corpus(np.random.default_rng(27), 40))
+
+    def test_agrees_with_bracket_solver(self):
+        for m in self.CORPUS:
+            dist, wit = numrange_origin_distance(m)
+            ref, _ = numrange._solve(m, *_hermitian_parts(m))
+            assert abs(dist - ref) <= 1e-12 * max(1.0, np.abs(m).max())
+            assert (dist == 0.0) == (ref == 0.0)
+            if dist > 0.0:
+                assert abs(form_value(m, wit)) == pytest.approx(dist, rel=1e-14)
+            else:
+                assert abs(form_value(m, wit)) <= 1e-8
+            assert abs(np.linalg.norm(wit) - 1.0) <= 1e-14
+
+    def test_no_eigensolve(self, counted_eigensolves):
+        for m in self.CORPUS:
+            numrange_origin_distance(m)
+        assert counted_eigensolves == []
 
 
 class TestWitnessGuard:
