@@ -127,6 +127,8 @@ class DensityState:
     @classmethod
     def pure(cls, vector) -> "DensityState":
         v = np.asarray(vector, dtype=complex).reshape(-1)
+        if not np.isfinite(v).all():
+            raise MalformedInputError("pure-state vector entries must be finite")
         nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > DENSITY_TOL:
             raise NotDensityError(f"pure-state vector has norm {nrm:.12g}")

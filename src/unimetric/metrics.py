@@ -24,6 +24,7 @@ from . import circlegeom
 from .errors import (
     DimensionMismatchError,
     InvalidPError,
+    MalformedInputError,
     NotNormalizedError,
     OutOfRangeError,
 )
@@ -103,6 +104,8 @@ def _pair_matrices(u, v) -> tuple[np.ndarray, np.ndarray]:
 
 def _unit_vector(psi, n: int) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise MalformedInputError("state entries must be finite")
     if v.size != n:
         raise DimensionMismatchError(f"state has dimension {v.size}, operators {n}")
     nrm = np.linalg.norm(v)

@@ -23,24 +23,23 @@ on at most one arc, and there g'' <= -g < 0.
   lambda_min(A_{phi+pi}) = -lambda_max(A_phi).  |g'| is at most the
   numerical radius w, so the sample nearest a positive arc reads above
   -w * step / 2 even when the arc falls between samples.
-* Refinement: every circular local maximum of the samples above that
-  level is refined, highest first, until one is positive; when there is
-  none, 0 lies in F and nothing is refined.  Each step costs one
-  eigensolve and stays inside a bracket whose ends hold g' > 0 and
-  g' < 0.  It is the shorter of a Newton step on g' and the step to the
-  nearest kink, where lambda_0 meets another eigenvalue along their
-  tangents; the kink is the usual maximum of a normal matrix whose
-  nearest point lies inside an edge.  The chord between the points
-  <psi_0|M|psi_0> of the two ends lies in F, so its distance from 0
-  bounds the maximum from above, and when neither step stays inside, the
-  step goes to the direction normal to the chord at its point nearest 0
-  (the midpoint when that direction falls outside the bracket).  That
-  step is exact when the nearest point is a vertex of F, as for c I,
-  whose tied eigenvalues refuse the other two.  Refinement stops when
-  the bound is within 1e-13 of the best value found.  A candidate is
-  rejected as soon as each end's tangent, taken at the far end, and
-  g'' <= -g <= w show that g < 0 on its bracket, and a chord through 0
-  shows that 0 lies in F.
+* Refinement: every circular local maximum of the samples above that level
+  is refined, highest first, until one is positive; when there is none, 0
+  lies in F and nothing is refined.  Each step costs one eigensolve and
+  stays inside a bracket whose ends hold g' > 0 and g' < 0.  The chord
+  between the points <psi_0|M|psi_0> of the two ends lies in F, so its
+  distance from 0 bounds the maximum from above.  The step is the shortest
+  of three that stay inside the bracket, else the midpoint: the Newton
+  step on g'; the step to the nearest kink, where lambda_0 meets another
+  eigenvalue along their tangents, the usual maximum of a normal matrix
+  whose nearest point lies inside an edge; and the step to the direction
+  normal to the chord at its point nearest 0, exact when that point is the
+  nearest point of F: a vertex, as for c I, whose tied eigenvalues refuse
+  the other two, or a point of an edge whose two eigenvalues support the
+  bracket ends.  Refinement stops when the bound is within 1e-13 of the
+  best value found.  A candidate is rejected as soon as each end's
+  tangent, taken at the far end, and g'' <= -g <= w show that g < 0 on its
+  bracket, and a chord through 0 shows that 0 lies in F.
 * Witness: every eigenvector the solver computes is a support state x
   of F, and its point z = <x|M|x> lies on the boundary of F.  The range
   of the 2x2 compression onto span(x, y) holds the segment between the
@@ -62,8 +61,10 @@ on at most one arc, and there g'' <= -g < 0.
 * n = 2: F is a filled ellipse (elliptical range theorem, C.-K. Li,
   Proc. AMS 124, 1996), so one exact 2x2 solve on the Bloch sphere gives
   the witness, a zero of the form or the state of the point of F nearest
-  0.  The distance is |<x|M|x>|, read as 0 at or below the same 1e-12
-  that g is read against.  No bracket and no eigensolve.
+  0.  The distance is |<x|M|x>|.  No bracket and no eigensolve.
+* Zero: for every n, the form rounds at about eps * max |m_ij|, so a
+  distance at or below min(1e-8, 1e-12 * max(1, max |m_ij|)) reads as 0;
+  1e-8 is the bound a zero witness must meet.
 
 Needed because compressions of unitaries onto subspaces are no longer
 normal, so the circle geometry of the full-space metric does not apply.
@@ -95,9 +96,9 @@ class _Point(NamedTuple):
     """g and its derivatives at one angle, with its support state.
 
     ``kink`` is the step in the direction of ascent to the nearest angle
-    where lambda_0 meets another eigenvalue, by their tangents (nan if
-    none meets it), and ``z`` = <x|M|x> is the point of F that supports
-    direction phi, with x = psi_0.
+    where the tangents of lambda_0 and another eigenvalue meet, nan when
+    none does, so it never stays inside a bracket; ``z`` = <x|M|x> is the
+    point of F that supports direction phi, with x = psi_0.
     """
 
     phi: float
@@ -146,23 +147,21 @@ def _chord_point(a: _Point, b: _Point) -> complex:
     return a.z + t * d
 
 
-def _next_angle(x: _Point, a: _Point, b: _Point) -> float:
-    """The shorter of the Newton step on g' and the step to the nearest
-    kink, if it stays inside the bracket; else the direction normal to the
-    chord at its point nearest 0, or the midpoint when that falls outside."""
-    steps = [x.kink]
-    if x.d2g < 0.0:
-        steps.append(-x.dg / x.d2g)
-    for step in sorted(steps, key=abs):
-        if a.phi < x.phi + step < b.phi:
-            return x.phi + step
+def _next_angle(x: _Point, a: _Point, b: _Point, chord: complex) -> float:
+    """The nearest to x of the Newton step on g', the step to the nearest
+    kink and the direction normal to the chord at its point ``chord``
+    nearest 0, among those inside the bracket; the midpoint when none is."""
     # g(phi) supports direction e^{-i phi}, so the normal through c is -arg(c)
-    phi = a.phi + (-cmath.phase(_chord_point(a, b)) - a.phi) % (2.0 * math.pi)
-    return phi if a.phi < phi < b.phi else 0.5 * (a.phi + b.phi)
+    normal = a.phi + (-cmath.phase(chord) - a.phi) % (2.0 * math.pi)
+    angles = [x.phi + x.kink, normal]
+    if x.d2g < 0.0:
+        angles.append(x.phi - x.dg / x.d2g)
+    inside = [phi for phi in angles if a.phi < phi < b.phi]
+    return min(inside, key=lambda phi: abs(phi - x.phi), default=0.5 * (a.phi + b.phi))
 
 
 def _refine(
-    h1: np.ndarray, h2: np.ndarray, a: _Point, b: _Point, radius: float, seen: list
+    h1: np.ndarray, h2: np.ndarray, a: _Point, b: _Point, radius: float, zero_tol: float, seen: list
 ) -> tuple[_Point, _Point, _Point, float]:
     """Highest g found in [a.phi, b.phi], whose ends hold g' > 0 and g' < 0,
     the bracket's final ends, and the least distance from 0 of the chords
@@ -170,17 +169,18 @@ def _refine(
     Every point evaluated is appended to ``seen``."""
     best = x = a if a.g >= b.g else b
     tol = _BOUND_TOL * max(1.0, radius)
-    upper = abs(_chord_point(a, b))
+    upper = math.inf
     for _ in range(_NEWTON_STEPS):
         width = b.phi - a.phi
-        upper = min(upper, abs(_chord_point(a, b)))
-        if upper - best.g <= tol or upper <= _ZERO_TOL:
+        chord = _chord_point(a, b)
+        upper = min(upper, abs(chord))
+        if upper - best.g <= tol or upper <= zero_tol:
             break
         # g'' <= -g <= radius, so each end's tangent taken at the far end,
         # plus radius * width^2 / 2, bounds g on the bracket: g < 0 on all of it
         if min(a.g + a.dg * width, b.g - b.dg * width) + 0.5 * radius * width * width < 0.0:
             break
-        phi = _next_angle(x, a, b)
+        phi = _next_angle(x, a, b, chord)
         if not a.phi < phi < b.phi:
             break
         x = _evaluate(h1, h2, phi)
@@ -306,8 +306,9 @@ def _polygon_witness(m: np.ndarray, z: np.ndarray, states: np.ndarray) -> np.nda
     return _span_state(m, states[far], _span_state(m, states[k], states[k1], b), 0.0)
 
 
-def _solve(m: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray]:
+def _solve(m: np.ndarray, zero_tol: float) -> tuple[float, np.ndarray]:
     """Distance and witness from the bracket and its refinement."""
+    h1, h2 = _hermitian_parts(m)
     half = _PHI_SAMPLES // 2
     step = math.pi / half
     phis = step * np.arange(half)
@@ -333,10 +334,10 @@ def _solve(m: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.nda
     for j in peaks[np.argsort(-g[peaks], kind="stable")]:
         p = sample(int(j))
         a, b = (p, sample(int(j) + 1)) if p.dg >= 0.0 else (sample(int(j) - 1), p)
-        best, a, b, upper = _refine(h1, h2, a, b, radius, seen)
-        if best.g > _ZERO_TOL:
+        best, a, b, upper = _refine(h1, h2, a, b, radius, zero_tol, seen)
+        if best.g > zero_tol:
             return best.g, _span_state(m, a.x, b.x, _chord_point(a, b))
-        if upper <= _ZERO_TOL:
+        if upper <= zero_tol:
             break
     # support states: the min eigenvector at phi_j, the max one at phi_j + pi
     angles = np.concatenate([phis, phis + math.pi, [p.phi % (2 * math.pi) for p in seen]])
@@ -356,8 +357,8 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     solved on the span of two support states the solver already holds:
     one exact 2x2 solve when 0 lies outside F, two when it lies inside.
     A 2x2 matrix is that one solve alone, and its distance is
-    |<witness|M|witness>|.  A distance of 0.0 comes with
-    |<psi|M|psi>| <= 1e-8.
+    |<witness|M|witness>|.  A distance at or below min(1e-8, 1e-12 *
+    max(1, max |m_ij|)) reads 0.0, with |<witness|M|witness>| <= 1e-8.
 
     Raises
     ------
@@ -370,15 +371,15 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     n, k = m.shape
     if n != k:
         raise NotSquareError(f"numerical range needs a square matrix, got {m.shape}")
-    if n == 1:
-        return abs(complex(m[0, 0])), np.ones(1, dtype=complex)
-    if n == 2:
-        witness = _quadratic_form_zero_2x2(m)
+    # plain floats: at n = 2 a numpy pass costs more than the scan
+    zero_tol = min(_WITNESS_TOL, _ZERO_TOL * max(1.0, max(map(abs, m.ravel().tolist()))))
+    if n <= 2:
+        witness = _quadratic_form_zero_2x2(m) if n == 2 else np.ones(1, dtype=complex)
         dist = _form_residual(m, witness)
-        if dist <= _ZERO_TOL:
+        if dist <= zero_tol:
             dist = 0.0
     else:
-        dist, witness = _solve(m, *_hermitian_parts(m))
+        dist, witness = _solve(m, zero_tol)
     if dist > 0.0:
         return dist, witness
     resid = _form_residual(m, witness)

@@ -55,7 +55,8 @@ class SearchProblem:
 
     @classmethod
     def from_size(cls, N: int, gamma: float | None = None, theta: float = 0.0) -> "SearchProblem":
-        alpha = math.asin(1.0 / math.sqrt(N))
+        # clamped so that __post_init__, not the square root, rejects N < 2
+        alpha = math.asin(1.0 / math.sqrt(max(N, 2)))
         return cls(alpha=alpha, gamma=alpha if gamma is None else gamma, theta=theta, N=N)
 
 

@@ -44,6 +44,8 @@ _FACE_TOL = 1e-10
 _SUBSET_RESULT_TOL = 1e-6
 # an alternation that lowers the objective by less than this ends the run
 ALTERNATION_TOL = 1e-10
+# an objective below this is the global minimum 0: it ends the run and the restarts
+_ZERO_OVERLAP = 1e-13
 
 
 @dataclass(frozen=True)
@@ -139,14 +141,6 @@ def face_distance(u, v, face) -> MetricResult:
     )
 
 
-def _beta_compression(w4: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return np.einsum("j,ijkl,l->ik", beta.conj(), w4, beta)
-
-
-def _alpha_compression(w4: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ijkl,k->jl", alpha.conj(), w4, alpha)
-
-
 def product_overlap(w: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> float:
     """|<alpha x beta| W |alpha x beta>| for a bipartite W."""
     vec = np.kron(alpha, beta)
@@ -163,33 +157,31 @@ def alternating_product_minimization(
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Minimize |<a x b|W|a x b>| by exact single-factor sweeps.
 
-    Each half step fixes one factor and takes the other from the
-    numerical-range witness of the compressed operator, which minimizes
-    the objective over that factor globally.  Steps that fail to improve
+    Each alternation takes alpha, then beta, from the numerical-range
+    witness of W compressed onto the other factor, which minimizes the
+    objective over that factor globally; beta reads W through the view
+    that swaps the two factors' axes.  Steps that fail to improve
     (degenerate witnesses) are skipped, so the recorded objective
-    history is nonincreasing.
+    history, one entry per half step, is nonincreasing.
     """
     w4 = w.reshape(dim_a, dim_b, dim_a, dim_b)
-    alpha, beta = alpha0, beta0
-    obj = product_overlap(w, alpha, beta)
+    views = (w4, w4.transpose(1, 0, 3, 2))
+    factors = [alpha0, beta0]
+    obj = product_overlap(w, alpha0, beta0)
     history = [obj]
     for _ in range(max_alternations):
         prev = obj
-        mb = _beta_compression(w4, beta)
-        _, wit = numrange_origin_distance(mb)
-        cand = abs(complex(wit.conj() @ mb @ wit))
-        if cand <= obj:
-            alpha, obj = wit, cand
-        history.append(obj)
-        ma = _alpha_compression(w4, alpha)
-        _, wit = numrange_origin_distance(ma)
-        cand = abs(complex(wit.conj() @ ma @ wit))
-        if cand <= obj:
-            beta, obj = wit, cand
-        history.append(obj)
-        if prev - obj < ALTERNATION_TOL or obj < 1e-13:
+        for i, view in enumerate(views):
+            other = factors[1 - i]
+            comp = np.einsum("j,ijkl,l->ik", other.conj(), view, other)
+            _, wit = numrange_origin_distance(comp)
+            cand = abs(complex(wit.conj() @ comp @ wit))
+            if cand <= obj:
+                factors[i], obj = wit, cand
+            history.append(obj)
+        if prev - obj < ALTERNATION_TOL or obj < _ZERO_OVERLAP:
             break
-    return alpha, beta, obj, history
+    return factors[0], factors[1], obj, history
 
 
 def separable_distance(u, v, prob: SeparableProblem) -> MetricResult:
@@ -217,7 +209,7 @@ def separable_distance(u, v, prob: SeparableProblem) -> MetricResult:
                 w, prob.dim_a, prob.dim_b, a0, b0, prob.max_alternations
             )
         )
-        if runs[-1][2] < 1e-13:
+        if runs[-1][2] < _ZERO_OVERLAP:
             break
     # min keeps the earliest of equal objectives
     alpha, beta, best_obj, _ = min(runs, key=lambda run: run[2])

@@ -200,6 +200,11 @@ class TestOtherCommands:
             cli.main(["search", "--alpha", "0.2", "--N", "16", "--epsilon", "0.1"]) == 2
         )
 
+    @pytest.mark.parametrize("n", ["1", "0", "-4"])
+    def test_search_size_below_two_exit_5(self, n, capsys):
+        assert cli.main(["search", "--N", n, "--epsilon", "0.1"]) == 5
+        assert "N must be at least 2" in capsys.readouterr().err
+
     def test_search_unreachable_exit_5(self, capsys):
         code = cli.main(
             ["search", "--alpha", "0.7", "--gamma", "1.4", "--epsilon", "0.01"]

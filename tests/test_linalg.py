@@ -228,6 +228,11 @@ class TestDensityState:
         with pytest.raises(NotDensityError):
             DensityState.pure([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_vector(self, bad):
+        with pytest.raises(MalformedInputError):
+            DensityState.pure([1.0, bad])
+
 
 class TestMatrixJson:
     def test_round_trip_bit_exact(self):

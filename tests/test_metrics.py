@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from unimetric.errors import (
     DimensionMismatchError,
     InvalidPError,
+    MalformedInputError,
     NotNormalizedError,
     NotUnitaryError,
     OutOfRangeError,
@@ -58,6 +59,12 @@ class TestDPsi:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalizedError):
             d_psi(I2, Z, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # abs(norm - 1) > tol is False for a NaN norm, so the norm check alone lets it through
+        with pytest.raises(MalformedInputError):
+            d_psi(I2, Z, np.array([bad, 0.0]))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -249,6 +256,10 @@ class TestSandwich:
         assert b.mid == pytest.approx(1.0, abs=1e-12)
         assert b.upper == pytest.approx(2.0, abs=1e-12)
         assert b.holds
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(MalformedInputError):
+            check_sandwich(I2, Z, np.array([math.nan, 0.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(seeds, st.integers(2, 6))

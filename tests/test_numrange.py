@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from unimetric import numrange
 from unimetric.circlegeom import polygon_distance_to_origin
 from unimetric.errors import EmptyInputError, NotSquareError, NumericalRangeError
-from unimetric.linalg import _hermitian_parts, haar_random_unitary, haar_unitaries
+from unimetric.linalg import haar_random_unitary, haar_unitaries
 from unimetric.numrange import numrange_origin_distance
 
 seeds = st.integers(0, 10_000)
@@ -16,6 +16,12 @@ seeds = st.integers(0, 10_000)
 
 def form_value(m, psi):
     return complex(psi.conj() @ m @ psi)
+
+
+def bracket_solve(m):
+    """The n >= 3 solver on a matrix of any size, with the entry point's zero rule."""
+    zero_tol = numrange._ZERO_TOL * max(1.0, np.abs(m).max())
+    return numrange._solve(m, min(numrange._WITNESS_TOL, zero_tol))
 
 
 class TestQueryValidation:
@@ -125,6 +131,36 @@ class TestZeroWitness:
             dist, wit = numrange_origin_distance(m)
             assert dist == 0.0
             assert abs(form_value(m, wit)) <= 1e-8
+
+    def test_segment_through_zero_reads_zero_at_large_scale(self):
+        # the form's rounding, about eps * max|m|, exceeds 1e-12 here, so
+        # 0.0 is read relative to the matrix's scale, for every n
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            h = g + g.conj().T
+            h -= np.linalg.eigvalsh(h).mean() * np.eye(2)
+            # embedded at n = 3 with a third point on the segment, so F is unchanged
+            h3 = np.zeros((3, 3), dtype=complex)
+            h3[:2, :2] = h
+            h3[2, 2] = rng.uniform(-1, 1) * np.linalg.eigvalsh(h)[1]
+            q = haar_unitaries(rng, 1, 3)[0]
+            phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+            for m in (h, q @ h3 @ q.conj().T):
+                m = phase * m * 10 ** rng.uniform(3, 4) / np.abs(m).max()
+                dist, wit = numrange_origin_distance(m)
+                assert dist == 0.0
+                assert abs(form_value(m, wit)) <= 1e-8
+        assert numrange_origin_distance([[1e-13j]])[0] == 0.0
+        assert numrange_origin_distance([[2e-12 + 0j]])[0] == 2e-12
+
+    @pytest.mark.parametrize("m", [np.diag([1e5, 5e-8]), np.diag([1e5, 5e-8, 1.0])])
+    def test_zero_rule_capped_at_witness_bound(self, m):
+        # 1e-12 * 1e5 exceeds the 1e-8 a zero witness must meet, so a
+        # distance of 5e-8 is returned, neither read as 0 nor raised on
+        dist, wit = numrange_origin_distance(m)
+        assert dist == pytest.approx(5e-8, rel=1e-6)
+        assert abs(form_value(m, wit)) == pytest.approx(dist, rel=1e-6)
 
     def test_boundary_shift_at_small_scale(self):
         # the residual is judged against the matrix's own scale, not the
@@ -275,7 +311,7 @@ class TestExactOracle:
 
 
 def test_eigensolves_per_positive_call(counted_eigensolves):
-    # one batched bracket plus a few Newton or kink steps, no per-angle sweep
+    # one batched bracket plus a few refinement steps, no per-angle sweep
     rng = np.random.default_rng(7)
     cases = []
     for k in range(60):
@@ -294,8 +330,8 @@ def test_eigensolves_per_positive_call(counted_eigensolves):
 @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e3])
 @pytest.mark.parametrize("n", range(2, 7))
 def test_scalar_matrix_is_exact_in_few_eigensolves(n, scale, counted_eigensolves):
-    # every eigenvalue of A_phi ties, so Newton and kink steps are refused;
-    # F is the single point c, and the chord's normal points straight at it
+    # every eigenvalue of A_phi ties, so the Newton and kink steps are
+    # refused; F is the single point c, and the chord's normal points at it
     rng = np.random.default_rng([31, n])
     phases = [0.0, math.pi / 2, math.pi, -math.pi / 2, *rng.uniform(0, 2 * math.pi, 4)]
     for phase in phases:
@@ -305,6 +341,23 @@ def test_scalar_matrix_is_exact_in_few_eigensolves(n, scale, counted_eigensolves
         assert abs(dist - abs(c)) <= 4 * np.finfo(float).eps * abs(c)
         assert len(counted_eigensolves) <= 3
         assert abs(np.linalg.norm(wit) - 1.0) <= 1e-12
+
+
+def test_narrow_arc_unitary_is_exact_after_one_step(counted_eigensolves):
+    # F is the polygon of the eigenvalues c e^{i theta_k}, nearest 0 at the
+    # midpoint of the chord between the arc's ends; the bracket ends'
+    # support points span that chord, so the step normal to it is exact
+    rng = np.random.default_rng(32)
+    for k in range(400):
+        n = 3 + k % 3
+        arc = rng.uniform(0.1, 3.0)
+        theta = rng.uniform(0, 2 * math.pi) + arc * np.r_[0.0, 1.0, rng.uniform(0, 1, n - 2)]
+        q = haar_unitaries(rng, 1, n)[0]
+        c = 10 ** rng.uniform(-1, 1) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        counted_eigensolves.clear()
+        dist, _ = numrange_origin_distance(c * (q * np.exp(1j * theta)) @ q.conj().T)
+        assert abs(dist - abs(c) * math.cos(arc / 2)) <= 1e-12
+        assert len(counted_eigensolves) <= 2
 
 
 def test_eigensolves_per_zero_call(counted_eigensolves):
@@ -361,7 +414,7 @@ class TestQuadraticFormZero2x2:
             c = random_matrix(rng, 2, k % 2 == 1)
             c = at_distance(c, rng.uniform(0, 2 * math.pi), 10 ** rng.uniform(-6, 0))
             x = numrange._quadratic_form_zero_2x2(c)
-            dist, _ = numrange._solve(c, *_hermitian_parts(c))
+            dist, _ = bracket_solve(c)
             assert abs(form_value(c, x)) == pytest.approx(dist, abs=1e-9)
 
 
@@ -395,7 +448,7 @@ class TestTwoByTwo:
     def test_agrees_with_bracket_solver(self):
         for m in self.CORPUS:
             dist, wit = numrange_origin_distance(m)
-            ref, _ = numrange._solve(m, *_hermitian_parts(m))
+            ref, _ = bracket_solve(m)
             assert abs(dist - ref) <= 1e-12 * max(1.0, np.abs(m).max())
             assert (dist == 0.0) == (ref == 0.0)
             if dist > 0.0:

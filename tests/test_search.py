@@ -32,6 +32,12 @@ class TestSearchProblem:
         with pytest.raises(InvalidAnglesError):
             SearchProblem(alpha=0.5, gamma=0.5, N=1024)
 
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    def test_size_below_two_rejected_before_sqrt(self, n):
+        # 1/sqrt(N) fails for N <= 0 with ZeroDivisionError or a bare ValueError
+        with pytest.raises(InvalidAnglesError):
+            SearchProblem.from_size(n)
+
 
 class TestBuildOperators:
     def test_both_unitary(self):
