@@ -280,7 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v")
     p.add_argument("--dims", required=True, help="factor dimensions m,n")
     # a dataclass field's default is also its class attribute
-    p.add_argument("--restarts", type=int, default=subsets.SeparableProblem.restarts)
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=subsets.SeparableProblem.restarts,
+        help="most restarts; a certified minimum ends them early",
+    )
     p.add_argument(
         "--max-alternations", type=int, default=subsets.SeparableProblem.max_alternations
     )

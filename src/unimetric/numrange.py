@@ -61,7 +61,10 @@ on at most one arc, and there g'' <= -g < 0.
 * n = 2: F is a filled ellipse (elliptical range theorem, C.-K. Li,
   Proc. AMS 124, 1996), so one exact 2x2 solve on the Bloch sphere gives
   the witness, a zero of the form or the state of the point of F nearest
-  0.  The distance is |<x|M|x>|.  No bracket and no eigensolve.
+  0.  The distance is |<x|M|x>|.  No bracket and no eigensolve.  The
+  solve runs on M / 2^e with max |m_ij| < 2^e, which is exact, so the
+  witness does not depend on the scale and entries up to 1e308 stay
+  finite.
 * Zero: for every n, the form rounds at about eps * max |m_ij|, so a
   distance at or below min(1e-8, 1e-12 * max(1, max |m_ij|)) reads as 0;
   1e-8 is the bound a zero witness must meet.
@@ -274,6 +277,14 @@ def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
     return _bloch_state([y1 * p + y2 * q + y3 * r for p, q, r in zip(v1, v2, v3)])
 
 
+def _unit_scale(m: np.ndarray, big: float) -> np.ndarray:
+    """M / 2^e with 2^(e-1) <= big = max |m_ij| < 2^e.  A power of two
+    scales exactly, so the 2x2 solve returns the same bits, and with
+    entries below 1 the squares it takes stay finite."""
+    parts = np.ascontiguousarray(m).view(np.float64)
+    return np.ldexp(parts, -math.frexp(big)[1]).view(complex)
+
+
 def _span_state(m: np.ndarray, x: np.ndarray, y: np.ndarray, target: complex) -> np.ndarray:
     """Unit state of span(x, y) with <psi|M|psi> = target, or nearest it
     when the target lies outside the range of that 2x2 compression; every
@@ -372,9 +383,12 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     if n != k:
         raise NotSquareError(f"numerical range needs a square matrix, got {m.shape}")
     # plain floats: at n = 2 a numpy pass costs more than the scan
-    zero_tol = min(_WITNESS_TOL, _ZERO_TOL * max(1.0, max(map(abs, m.ravel().tolist()))))
+    big = max(map(abs, m.ravel().tolist()))
+    zero_tol = min(_WITNESS_TOL, _ZERO_TOL * max(1.0, big))
     if n <= 2:
-        witness = _quadratic_form_zero_2x2(m) if n == 2 else np.ones(1, dtype=complex)
+        witness = (
+            _quadratic_form_zero_2x2(_unit_scale(m, big)) if n == 2 else np.ones(1, dtype=complex)
+        )
         dist = _form_residual(m, witness)
         if dist <= zero_tol:
             dist = 0.0
@@ -383,6 +397,7 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     if dist > 0.0:
         return dist, witness
     resid = _form_residual(m, witness)
-    if resid > _WITNESS_TOL:
+    # a NaN residual fails too
+    if not resid <= _WITNESS_TOL:
         raise NumericalRangeError(resid, _WITNESS_TOL)
     return 0.0, witness

@@ -321,13 +321,15 @@ def test_dist_non_unitary_operands_exit_4(u, v, tmp_path, capsys):
     assert cli.main(["dist", str(tmp_path / "u.json"), str(tmp_path / "v.json")]) == 4
 
 
-def _run_python(*argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+def _run_python(*argv, **env_vars):
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]), **env_vars
+    )
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
-def _run_cli(*argv):
-    return _run_python("-m", "unimetric.cli", *argv)
+def _run_cli(*argv, **env_vars):
+    return _run_python("-m", "unimetric.cli", *argv, **env_vars)
 
 
 def test_non_finite_entry_exits_2_without_traceback(tmp_path, matrix_files):
@@ -352,6 +354,17 @@ def test_zero_restarts_exit_5_without_traceback(matrix_files):
     )
     assert proc.returncode == 5
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "seed_args, env_vars", [(["--seed", "-1"], {}), ([], {"UNIMETRIC_SEED": "-3"})]
+)
+def test_negative_seed_exits_5_without_traceback(seed_args, env_vars, matrix_files):
+    argv = ["sep-dist", matrix_files["I4"], matrix_files["swap"], "--dims", "2,2", *seed_args]
+    proc = _run_cli(*argv, **env_vars)
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert "seed" in proc.stderr
 
 
 def test_failed_residual_check_exits_5_without_traceback(tmp_path, capsys, monkeypatch):

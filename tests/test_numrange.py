@@ -462,9 +462,33 @@ class TestTwoByTwo:
             numrange_origin_distance(m)
         assert counted_eigensolves == []
 
+    @pytest.mark.parametrize("s", [1e155, 1e200, 1e308])
+    def test_large_entries(self, s):
+        # the Bloch coefficients' squares would overflow at this scale
+        dist, wit = numrange_origin_distance([[s, s], [0.0, s]])
+        assert dist == pytest.approx(s / 2, rel=1e-15)
+        assert np.isfinite(wit).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds, st.integers(-60, 60))
+    def test_power_of_two_scale_keeps_witness_bits(self, seed, k):
+        rng = np.random.default_rng(seed)
+        c = random_matrix(rng, 2, seed % 2 == 0)
+        _, wit = numrange_origin_distance(c)
+        _, scaled = numrange_origin_distance(math.ldexp(1.0, k) * c)
+        assert wit.tobytes() == scaled.tobytes()
+
 
 class TestWitnessGuard:
     M = np.diag([1.0, 1j, -1.0, -1j])
+
+    def test_nan_witness_raises(self, monkeypatch):
+        # a NaN residual is no zero witness
+        monkeypatch.setattr(
+            numrange, "_quadratic_form_zero_2x2", lambda c: np.full(2, math.nan, dtype=complex)
+        )
+        with pytest.raises(NumericalRangeError):
+            numrange_origin_distance(np.eye(2))
 
     def test_second_miss_raises(self, monkeypatch):
         # a missed zero witness raises at once; nothing is solved again

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unimetric import subsets
+from unimetric.circlegeom import polygon_distance_to_origin
 from unimetric.errors import (
     DimensionMismatchError,
     EmptyGeneratorsError,
     NotAFaceError,
     NotCommutingError,
+    OutOfRangeError,
 )
-from unimetric.linalg import haar_random_unitary, kron
+from unimetric.linalg import haar_random_unitary, haar_unitaries, kron, validate_unitary
 from unimetric.metrics import d_psi, sup_distance
 from unimetric.subsets import (
     SeparableProblem,
@@ -158,12 +161,111 @@ class TestSeparableDistance:
         assert duv <= duw + dwv + 1e-5
 
     def test_seed_reproducibility(self):
-        prob = SeparableProblem(dim_a=2, dim_b=2, restarts=6, seed=7)
-        u, v = haar(4, 60), haar(4, 61)
-        a = separable_distance(u, v, prob)
-        b = separable_distance(u, v, prob)
-        assert a.value == b.value
-        assert np.array_equal(a.maximizer, b.maximizer)
+        # a generic pair, and a product pair that stops at the certified floor
+        rng = np.random.default_rng(44)
+        product = np.kron(narrow_unitary(rng, 2), narrow_unitary(rng, 3))
+        cases = [
+            (haar(4, 60), haar(4, 61), SeparableProblem(dim_a=2, dim_b=2, restarts=6, seed=7)),
+            (np.eye(6), product, SeparableProblem(dim_a=2, dim_b=3, restarts=4, seed=9)),
+        ]
+        for u, v, prob in cases:
+            a = separable_distance(u, v, prob)
+            b = separable_distance(u, v, prob)
+            assert a.value == b.value
+            assert np.array_equal(a.maximizer, b.maximizer)
+
+
+class TestSeparableProblem:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dim_a", 2.0),
+            ("dim_b", "3"),
+            ("restarts", 2.5),
+            ("max_alternations", 3.5),
+            ("seed", 1.5),
+            ("seed", -1),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value):
+        fields = {"dim_a": 2, "dim_b": 2, field: value}
+        with pytest.raises(OutOfRangeError, match=field):
+            SeparableProblem(**fields)
+
+    def test_numpy_integers_become_ints(self):
+        prob = SeparableProblem(np.int64(2), np.int32(3), restarts=np.int64(4), seed=np.uint8(7))
+        assert (prob.dim_a, prob.dim_b, prob.restarts, prob.seed) == (2, 3, 4, 7)
+        assert all(type(x) is int for x in (prob.dim_a, prob.dim_b, prob.restarts, prob.seed))
+
+
+def narrow_unitary(rng, d):
+    """Q diag(e^{i theta}) Q' with its angles on an arc shorter than pi, so
+    the distance from 0 to its numerical range is positive."""
+    q = haar_unitaries(rng, 1, d)[0]
+    return (q * np.exp(1j * rng.uniform(0.0, 2.5, d))) @ q.conj().T
+
+
+def realignment_singular_values(w, dim_a, dim_b):
+    r = w.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
+    return np.linalg.svd(r.reshape(dim_a * dim_a, dim_b * dim_b), compute_uv=False)
+
+
+@pytest.fixture
+def restart_log(monkeypatch):
+    """Objective of every restart that separable_distance runs."""
+    log = []
+    inner = subsets.alternating_product_minimization
+
+    def counting(*args):
+        run = inner(*args)
+        log.append(run[2])
+        return run
+
+    monkeypatch.setattr(subsets, "alternating_product_minimization", counting)
+    return log
+
+
+class TestCertifiedStop:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_product_pairs_end_after_one_restart(self, dims, restart_log):
+        rng = np.random.default_rng([41, *dims])
+        for k in range(8):
+            a, b = (haar_unitaries(rng, 1, d)[0] for d in dims)
+            y, z = (validate_unitary(narrow_unitary(rng, d)) for d in dims)
+            m1, _ = polygon_distance_to_origin(y.eigen_angles)
+            m2, _ = polygon_distance_to_origin(z.eigen_angles)
+            prob = SeparableProblem(*dims, restarts=4, seed=k)
+            restart_log.clear()
+            res = separable_distance(kron(a, b), kron(a @ y.matrix, b @ z.matrix), prob)
+            assert len(restart_log) == 1
+            assert m1 * m2 > 1e-3
+            assert res.value == pytest.approx(math.sqrt(1.0 - (m1 * m2) ** 2), abs=1e-14)
+
+    def test_near_product_runs_every_restart(self, restart_log):
+        rng = np.random.default_rng(42)
+        w = np.kron(narrow_unitary(rng, 2), narrow_unitary(rng, 3))
+        w = w + 1e-9 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        left, _, right = np.linalg.svd(w)
+        w = left @ right
+        sigma = realignment_singular_values(w, 2, 3)
+        assert 1e-10 < sigma[1] / sigma[0] < 1e-8
+        assert subsets._product_floor(w, 2, 3) == 0.0
+        separable_distance(np.eye(6), w, SeparableProblem(2, 3, restarts=4, seed=0))
+        assert len(restart_log) == 4
+        assert min(restart_log) > 1e-3
+
+    def test_haar_pairs_run_every_restart_unless_zero(self, restart_log):
+        rng = np.random.default_rng(43)
+        full = 0
+        for k in range(30):
+            dims = ((2, 2), (2, 3))[k % 2]
+            u = haar_unitaries(rng, 1, dims[0] * dims[1])[0]
+            restart_log.clear()
+            separable_distance(np.eye(u.shape[0]), u, SeparableProblem(*dims, restarts=3, seed=k))
+            assert len(restart_log) == 3 or restart_log[-1] < subsets._ZERO_OVERLAP
+            full += len(restart_log) == 3
+        # some of these pairs have a positive minimum
+        assert full >= 1
 
 
 class TestNullSpace:
