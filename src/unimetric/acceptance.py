@@ -5,6 +5,12 @@ Each check pins a closed-form value against an independent oracle
 formulas against brute force) at a fixed tolerance.  The same checks
 back the library test suite and the ``selftest`` CLI command; fixed
 seeds make every run bit-reproducible.
+
+The two optimization oracles, #4 (sup via optimization) and #11 (the
+separable grid oracle), share one numpy routine, :func:`_sphere_descent`:
+Riemannian gradient descent on a product of unit spheres with
+Barzilai-Borwein steps.  Neither calls an eigensolver or the library
+code it checks.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from . import circlegeom, pauli, search, subsets
+from .errors import OutOfRangeError
 from .linalg import haar_random_state, haar_unitaries, kron, schatten_norm, validate_unitary
 from .metrics import check_sandwich, distinguishability, sup_distance, tensor_distance
 
@@ -84,20 +90,86 @@ def _check_polygon_oracle(seed: int) -> tuple[bool, str]:
     return worst <= 1e-9, f"max |d - sqrt(1 - poly^2)| = {worst:.3e} over {count} unitaries"
 
 
-def _optimized_distance(w: np.ndarray, rng: np.random.Generator, starts: int = 6) -> float:
+# safety cap on descent steps; no descent in checks 4 and 11 comes near it
+_DESCENT_STEPS = 2000
+# squared norm of the tangent gradient at which a descent has converged
+_GRADIENT_TOL = 1e-28
+_ARMIJO = 1e-4
+_OPTIMIZER_STARTS = 6
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.sqrt((x.conj() * x).real.sum(axis=-1, keepdims=True))
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float((a.conj() * b).real.sum())
+
+
+def _sphere_descent(
+    grad: Callable[[np.ndarray], tuple[float, np.ndarray]], x: np.ndarray
+) -> float:
+    """Minimum of f found from x over arrays whose rows are unit vectors.
+
+    ``grad(x)`` returns f(x) and its Euclidean gradient, the complex array
+    df/dRe(x) + i df/dIm(x).  Riemannian gradient descent on the product
+    of the rows' spheres (Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008, ch. 4): each step moves against
+    the gradient's tangent part and renormalizes each row.  The trial step
+    is the Barzilai-Borwein ratio |s|^2 / |<s, y>| of the last move s and
+    the change y of the tangent gradient (Barzilai & Borwein, IMA J.
+    Numer. Anal. 8, 1988), halved until the Armijo condition holds.  The
+    descent stops when the squared tangent-gradient norm is at most 1e-28,
+    when f stops falling (no move longer than rounding lowers it), or after
+    2000 steps.
+    """
+
+    def tangent_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        f, g = grad(x)
+        return f, g - (x.conj() * g).real.sum(axis=-1, keepdims=True) * x
+
+    f, g = tangent_grad(x)
+    step = 1.0
+    for _ in range(_DESCENT_STEPS):
+        gg = _real_dot(g, g)
+        if gg <= _GRADIENT_TOL:
+            break
+        while True:
+            y = _unit_rows(x - step * g)
+            fy, gy = tangent_grad(y)
+            if fy <= f - _ARMIJO * step * gg:
+                break
+            step *= 0.5
+            # unit rows move by step * |g|, which below eps is rounding
+            if step * math.sqrt(gg) < np.finfo(float).eps:
+                return f
+        s = y - x
+        sy = _real_dot(s, gy - g)
+        step = _real_dot(s, s) / abs(sy) if sy else 1.0
+        x, f, g = y, fy, gy
+    return f
+
+
+def _overlap_gradient(w: np.ndarray, psi: np.ndarray) -> tuple[float, np.ndarray]:
+    """|<psi|W|psi>|^2 and its Euclidean gradient in psi."""
+    wpsi = w @ psi
+    s = psi.conj() @ wpsi
+    return float((s * s.conjugate()).real), 2.0 * (s.conjugate() * wpsi + s * (psi.conj() @ w).conj())
+
+
+def _optimized_distance(w: np.ndarray, rng: np.random.Generator) -> float:
+    """sqrt(1 - min |<psi|W|psi>|^2) by :func:`_sphere_descent` on the unit
+    sphere of C^n, from the best of six random starts."""
     n = w.shape[0]
 
-    def objective(x):
-        psi = x[:n] + 1j * x[n:]
-        nn = psi.conj() @ psi
-        s = psi.conj() @ w @ psi
-        return float((s * s.conjugate()).real / (nn * nn).real)
+    def grad(x):
+        f, g = _overlap_gradient(w, x[0])
+        return f, g[None]
 
     best = math.inf
-    for _ in range(starts):
+    for _ in range(_OPTIMIZER_STARTS):
         x0 = rng.standard_normal(2 * n)
-        res = scipy.optimize.minimize(objective, x0, method="L-BFGS-B")
-        best = min(best, res.fun)
+        best = min(best, _sphere_descent(grad, _unit_rows((x0[:n] + 1j * x0[n:])[None])))
     return math.sqrt(max(0.0, 1.0 - best))
 
 
@@ -329,26 +401,18 @@ def _grid_min_overlap(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _polished_grid_oracle(w: np.ndarray) -> float:
-    """Grid minimum refined by one deterministic local descent."""
+    """Min |<a x b|W|a x b>| over 2x2 product states: the grid minimum
+    refined by :func:`_sphere_descent` on (a, b) jointly."""
     _, a0, b0 = _grid_min_overlap(w)
-    w4 = w.reshape(2, 2, 2, 2)
 
-    def objective(x):
-        a = np.array([math.cos(x[0]), math.sin(x[0]) * np.exp(1j * x[1])])
-        b = np.array([math.cos(x[2]), math.sin(x[2]) * np.exp(1j * x[3])])
-        val = np.einsum("i,j,ijkl,k,l->", a.conj(), b.conj(), w4, a, b)
-        return float(abs(val) ** 2)
+    def grad(x):
+        a, b = x
+        f, g = _overlap_gradient(w, np.kron(a, b))
+        # the chain rule through psi = a x b contracts g with b for a, with a for b
+        g = g.reshape(2, 2)
+        return f, np.array([g @ b.conj(), a.conj() @ g])
 
-    x0 = np.array(
-        [
-            math.atan2(abs(a0[1]), abs(a0[0])),
-            float(np.angle(a0[1])) if abs(a0[1]) > 1e-12 else 0.0,
-            math.atan2(abs(b0[1]), abs(b0[0])),
-            float(np.angle(b0[1])) if abs(b0[1]) > 1e-12 else 0.0,
-        ]
-    )
-    res = scipy.optimize.minimize(objective, x0, method="L-BFGS-B")
-    return math.sqrt(max(0.0, min(res.fun, objective(x0))))
+    return math.sqrt(_sphere_descent(grad, np.array([a0, b0])))
 
 
 def _check_separable(seed: int) -> tuple[bool, str]:
@@ -459,7 +523,15 @@ def check_names() -> list[str]:
 
 
 def run_checks(indices: list[int] | None = None, seed: int = 0) -> list[CheckResult]:
-    """Run the numbered checks (1-based)."""
+    """Run the numbered checks (1-based).
+
+    Raises
+    ------
+    OutOfRangeError
+        If the seed is negative.
+    """
+    if seed < 0:
+        raise OutOfRangeError("seed must be nonnegative")
     chosen = indices or list(range(1, len(_CHECKS) + 1))
     results = []
     for idx in chosen:

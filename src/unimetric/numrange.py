@@ -61,10 +61,11 @@ on at most one arc, and there g'' <= -g < 0.
 * n = 2: F is a filled ellipse (elliptical range theorem, C.-K. Li,
   Proc. AMS 124, 1996), so one exact 2x2 solve on the Bloch sphere gives
   the witness, a zero of the form or the state of the point of F nearest
-  0.  The distance is |<x|M|x>|.  No bracket and no eigensolve.  The
-  solve runs on M / 2^e with max |m_ij| < 2^e, which is exact, so the
-  witness does not depend on the scale and entries up to 1e308 stay
-  finite.
+  0.  The distance is |<x|M|x>|.  No bracket and no eigensolve.
+* Scale: for every n >= 2 the solve runs on M / 2^e with max |m_ij| < 2^e.
+  A power of two scales exactly, and the squares the solve takes stay
+  finite for entries up to 1e308.  At n = 2 the witness does not depend
+  on the scale; at n >= 3 the distance is scaled back by 2^e.
 * Zero: for every n, the form rounds at about eps * max |m_ij|, so a
   distance at or below min(1e-8, 1e-12 * max(1, max |m_ij|)) reads as 0;
   1e-8 is the bound a zero witness must meet.
@@ -277,12 +278,11 @@ def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
     return _bloch_state([y1 * p + y2 * q + y3 * r for p, q, r in zip(v1, v2, v3)])
 
 
-def _unit_scale(m: np.ndarray, big: float) -> np.ndarray:
-    """M / 2^e with 2^(e-1) <= big = max |m_ij| < 2^e.  A power of two
-    scales exactly, so the 2x2 solve returns the same bits, and with
-    entries below 1 the squares it takes stay finite."""
+def _unit_scale(m: np.ndarray, e: int) -> np.ndarray:
+    """M / 2^e, exactly.  With 2^(e-1) <= max |m_ij| < 2^e the entries
+    fall below 1, so the squares the solve takes stay finite."""
     parts = np.ascontiguousarray(m).view(np.float64)
-    return np.ldexp(parts, -math.frexp(big)[1]).view(complex)
+    return np.ldexp(parts, -e).view(complex)
 
 
 def _span_state(m: np.ndarray, x: np.ndarray, y: np.ndarray, target: complex) -> np.ndarray:
@@ -385,15 +385,17 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     # plain floats: at n = 2 a numpy pass costs more than the scan
     big = max(map(abs, m.ravel().tolist()))
     zero_tol = min(_WITNESS_TOL, _ZERO_TOL * max(1.0, big))
+    e = math.frexp(big)[1]
     if n <= 2:
         witness = (
-            _quadratic_form_zero_2x2(_unit_scale(m, big)) if n == 2 else np.ones(1, dtype=complex)
+            _quadratic_form_zero_2x2(_unit_scale(m, e)) if n == 2 else np.ones(1, dtype=complex)
         )
         dist = _form_residual(m, witness)
         if dist <= zero_tol:
             dist = 0.0
     else:
-        dist, witness = _solve(m, zero_tol)
+        dist, witness = _solve(_unit_scale(m, e), math.ldexp(zero_tol, -e))
+        dist = math.ldexp(dist, e)
     if dist > 0.0:
         return dist, witness
     resid = _form_residual(m, witness)

@@ -367,6 +367,16 @@ def test_negative_seed_exits_5_without_traceback(seed_args, env_vars, matrix_fil
     assert "seed" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "seed_args, env_vars", [(["--seed", "-1"], {}), ([], {"UNIMETRIC_SEED": "-1"})]
+)
+def test_negative_selftest_seed_exits_5_without_traceback(seed_args, env_vars, capsys, monkeypatch):
+    for name, value in env_vars.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(["selftest", "--criteria", "3", *seed_args]) == 5
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_failed_residual_check_exits_5_without_traceback(tmp_path, capsys, monkeypatch):
     u = _haar_file(tmp_path, "u", 3, 84)
     v = _haar_file(tmp_path, "v", 3, 85)
@@ -388,6 +398,10 @@ def test_mirror_pair_dist_exits_0(tmp_path, matrix_files):
 
 
 def test_import_does_not_load_scipy():
-    # only selftest needs scipy; importing it costs most of the CLI's start-up
-    proc = _run_python("-c", "import sys, unimetric.cli; print('scipy.optimize' in sys.modules)")
-    assert proc.stdout.strip() == "False"
+    # numpy is the one runtime dependency: the optimization oracles run with scipy blocked
+    code = (
+        "import sys; sys.modules['scipy'] = None; from unimetric import cli; "
+        "sys.exit(cli.main(['selftest', '--criteria', '4,11']))"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr

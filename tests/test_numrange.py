@@ -479,6 +479,14 @@ class TestTwoByTwo:
         assert wit.tobytes() == scaled.tobytes()
 
 
+@pytest.mark.parametrize("s", [1e155, 1e200, 1e300])
+def test_large_entries_above_two_by_two(s):
+    # n >= 3 solves on M / 2^e as n = 2 does, so the chord's squares stay finite
+    dist, wit = numrange_origin_distance(s * np.diag([1.0, 2.0, 3.0 + 1j]))
+    assert dist == pytest.approx(s, rel=1e-15)
+    assert np.isfinite(wit).all()
+
+
 class TestWitnessGuard:
     M = np.diag([1.0, 1j, -1.0, -1j])
 

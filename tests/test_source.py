@@ -1,9 +1,12 @@
 import ast
 import pathlib
+import sys
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "unimetric").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "unimetric").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -12,6 +15,18 @@ def test_no_assert_in_library_code(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_only_standard_library_and_numpy(path):
+    # numpy is the one runtime dependency, the selftest oracles included
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert roots - set(sys.stdlib_module_names) - {"numpy", "unimetric"} == set()
 
 
 def _raised_name(exc):
