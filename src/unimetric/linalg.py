@@ -241,19 +241,38 @@ def unitary_matrix(u) -> np.ndarray:
     return a
 
 
+def _polar_step(a: np.ndarray) -> np.ndarray:
+    """A (3I - A'A) / 2, one Newton-Schulz step towards the unitary polar
+    factor of a nearly unitary A: its deviation from unitary, and so from
+    normal, is second order in A's."""
+    return a @ (3.0 * np.eye(a.shape[0]) - a.conj().T @ a) / 2.0
+
+
+def _eigen_fit(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The kernel's basis for W, A's Rayleigh angles on it, and the largest
+    residual |A v - e^{i theta} v|; the one product A V gives both."""
+    vecs, _ = _joint_eigenbasis([w])
+    av = a @ vecs
+    ray = np.einsum("ij,ij->j", vecs.conj(), av)
+    angles = reduce_angles(np.arctan2(ray.imag, ray.real))
+    resid = float(np.linalg.norm(av - vecs * np.exp(1j * angles), axis=0).max())
+    return vecs, angles, resid
+
+
 def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
     """Spectral data of a matrix known to be unitary; checks the eigen-residual.
 
     The angles are those of the Rayleigh quotients v'Av on the kernel's
-    basis; the one product A V gives them and the residual.
+    basis.  A that is not exactly normal can mix the eigenvectors of
+    e^{i theta} and e^{-i(theta + g)}, whose first Hermitian parts nearly
+    tie; a residual above ``EIGEN_TOL`` then retries once on the basis of
+    :func:`_polar_step`, still checked against A itself.
     """
-    vecs, _ = _joint_eigenbasis([a])
-    av = a @ vecs
-    ray = np.einsum("ij,ij->j", vecs.conj(), av)
-    angles = reduce_angles(np.arctan2(ray.imag, ray.real))
-    resid = np.linalg.norm(av - vecs * np.exp(1j * angles), axis=0)
-    if resid.max() > EIGEN_TOL:
-        raise InternalCheckError("eigendecomposition residual", resid.max(), EIGEN_TOL)
+    vecs, angles, resid = _eigen_fit(a, a)
+    if resid > EIGEN_TOL:
+        vecs, angles, resid = _eigen_fit(a, _polar_step(a))
+        if resid > EIGEN_TOL:
+            raise InternalCheckError("eigendecomposition residual", resid, EIGEN_TOL)
     order = np.argsort(angles, kind="stable")
     return UnitaryOperator(
         matrix=_freeze(a),

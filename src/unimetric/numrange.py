@@ -62,13 +62,24 @@ on at most one arc, and there g'' <= -g < 0.
   Proc. AMS 124, 1996), so one exact 2x2 solve on the Bloch sphere gives
   the witness, a zero of the form or the state of the point of F nearest
   0.  The distance is |<x|M|x>|.  No bracket and no eigensolve.
+* Scaled unitaries, n >= 3: when M'M = c I up to 1e-13 c, with
+  c = tr(M'M)/n, M is sqrt(c) times a unitary, so it is normal and F is
+  the polygon of its eigenvalues (the normality property of the field
+  of values: Horn and Johnson, Topics in Matrix Analysis, 1991, sec.
+  1.2).  The eigenvectors v_k come from linalg.decompose_unitary on the
+  polar step of M / sqrt(c), and circlegeom.polygon_distance_to_origin
+  puts convex weights w_k on the eigenvalues: the polygon's point
+  nearest 0, or 0 itself.  The witness is sum_k sqrt(w_k) v_k, and the
+  distance is |<x|M|x>|.  The invariant faces of a unitary and the
+  factors of a Kronecker product take this path, with no bracket.
 * Scale: for every n >= 2 the solve runs on M / 2^e with max |m_ij| < 2^e.
   A power of two scales exactly, and the squares the solve takes stay
-  finite for entries up to 1e308.  At n = 2 the witness does not depend
-  on the scale; at n >= 3 the distance is scaled back by 2^e.
-* Zero: for every n, the form rounds at about eps * max |m_ij|, so a
-  distance at or below min(1e-8, 1e-12 * max(1, max |m_ij|)) reads as 0;
-  1e-8 is the bound a zero witness must meet.
+  finite for entries up to 1e308.  The witness of n = 2 and of a scaled
+  unitary does not depend on the scale; every distance is scaled back by
+  2^e.
+* Zero: for every n, the form rounds at about n eps 2^e, so a distance
+  at or below the larger of that and min(1e-8, 1e-12 * max(1, max |m_ij|))
+  reads as 0; a zero witness must meet the larger of it and 1e-8.
 
 Needed because compressions of unitaries onto subspaces are no longer
 normal, so the circle geometry of the full-space metric does not apply.
@@ -82,9 +93,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circlegeom import polygon_exit
+from .circlegeom import polygon_distance_to_origin, polygon_exit
 from .errors import NotSquareError, NumericalRangeError
-from .linalg import _hermitian_parts, as_matrix
+from .linalg import _hermitian_parts, _polar_step, as_matrix, decompose_unitary
 
 _ZERO_TOL = 1e-12
 _WITNESS_TOL = 1e-8
@@ -317,6 +328,27 @@ def _polygon_witness(m: np.ndarray, z: np.ndarray, states: np.ndarray) -> np.nda
     return _span_state(m, states[far], _span_state(m, states[k], states[k1], b), 0.0)
 
 
+def _scaled_unitary_witness(m: np.ndarray) -> np.ndarray | None:
+    """Witness from the eigenvalue polygon when M = sqrt(c) U with U
+    unitary, c = tr(M'M)/n, to max |M'M - c I| <= 1e-13 c; else None.
+
+    F(M) is then the convex hull of M's eigenvalues, and the convex
+    weights w_k that circlegeom.polygon_distance_to_origin puts on
+    eigenvalues lambda_k, the nearest point or a zero, are reached by
+    sum_k sqrt(w_k) v_k over the eigenvectors v_k.
+    """
+    n = m.shape[0]
+    gram = m.conj().T @ m
+    c = gram.trace().real / n
+    if not (c > 0.0 and np.abs(gram - c * np.eye(n)).max() <= _BOUND_TOL * c):
+        return None
+    # the polar step's eigenvectors are exact to second order in A's
+    # deviation from unitary, A's own only to first order over H1's gaps
+    u = decompose_unitary(_polar_step(m / math.sqrt(c)))
+    _, weights = polygon_distance_to_origin(u.eigen_angles)
+    return u.eigen_vectors[:, list(weights.support)] @ np.sqrt(weights.weights)
+
+
 def _solve(m: np.ndarray, zero_tol: float) -> tuple[float, np.ndarray]:
     """Distance and witness from the bracket and its refinement."""
     h1, h2 = _hermitian_parts(m)
@@ -367,9 +399,12 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     the distance within 1e-6 (typically far better).  The witness is
     solved on the span of two support states the solver already holds:
     one exact 2x2 solve when 0 lies outside F, two when it lies inside.
-    A 2x2 matrix is that one solve alone, and its distance is
-    |<witness|M|witness>|.  A distance at or below min(1e-8, 1e-12 *
-    max(1, max |m_ij|)) reads 0.0, with |<witness|M|witness>| <= 1e-8.
+    A 2x2 matrix is that one solve alone, and a multiple of a unitary is
+    solved on its eigenvectors; for both, the distance is
+    |<witness|M|witness>|.  A distance at or below max(min(1e-8, 1e-12 *
+    max(1, max |m_ij|)), n eps 2^e), with 2^(e-1) <= max |m_ij| < 2^e,
+    reads 0.0, with |<witness|M|witness>| at or below the larger of that
+    bound and 1e-8.
 
     Raises
     ------
@@ -384,22 +419,28 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
         raise NotSquareError(f"numerical range needs a square matrix, got {m.shape}")
     # plain floats: at n = 2 a numpy pass costs more than the scan
     big = max(map(abs, m.ravel().tolist()))
-    zero_tol = min(_WITNESS_TOL, _ZERO_TOL * max(1.0, big))
     e = math.frexp(big)[1]
-    if n <= 2:
-        witness = (
-            _quadratic_form_zero_2x2(_unit_scale(m, e)) if n == 2 else np.ones(1, dtype=complex)
-        )
-        dist = _form_residual(m, witness)
+    # the form itself rounds at about n eps 2^e
+    zero_tol = max(min(_WITNESS_TOL, _ZERO_TOL * max(1.0, big)), math.ldexp(n * math.ulp(1.0), e))
+    scaled = _unit_scale(m, e)
+    if n == 1:
+        witness = np.ones(1, dtype=complex)
+    elif n == 2:
+        witness = _quadratic_form_zero_2x2(scaled)
+    else:
+        witness = _scaled_unitary_witness(scaled)
+    if witness is None:
+        dist, witness = _solve(scaled, math.ldexp(zero_tol, -e))
+        dist = math.ldexp(dist, e)
+    else:
+        dist = math.ldexp(_form_residual(scaled, witness), e)
         if dist <= zero_tol:
             dist = 0.0
-    else:
-        dist, witness = _solve(_unit_scale(m, e), math.ldexp(zero_tol, -e))
-        dist = math.ldexp(dist, e)
     if dist > 0.0:
         return dist, witness
     resid = _form_residual(m, witness)
-    # a NaN residual fails too
-    if not resid <= _WITNESS_TOL:
-        raise NumericalRangeError(resid, _WITNESS_TOL)
+    # no witness is checked below the form's rounding; a NaN residual fails too
+    guard = max(_WITNESS_TOL, zero_tol)
+    if not resid <= guard:
+        raise NumericalRangeError(resid, guard)
     return 0.0, witness

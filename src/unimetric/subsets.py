@@ -6,14 +6,15 @@ Two cases have usable structure and are implemented here:
   subspace, where the supremum reduces to the numerical range of the
   compressed operator;
 * separable states on a tensor product, where the extreme points are
-  pure product states and the minimum overlap is approached by
-  alternating exact single-factor minimizations.  Restarts stop once
-  the best overlap is within 1e-13 of a certified floor: 0 at first,
-  and, when W is a Kronecker product up to less than 1e-13, the
-  factors' numerical-range distances from the nearest Kronecker product
+  pure product states.  When W is a Kronecker product up to less than
+  1e-13, the minimum overlap is the product of the factors'
+  numerical-range distances, read from the nearest Kronecker product
   (the product numerical range of Puchala et al., Linear Algebra Appl.
   434, 2011; C. Van Loan and N. Pitsianis, Approximation with Kronecker
-  products, 1993).
+  products, 1993), and the factors' witnesses reach it with no restart.
+  Otherwise it is approached by alternating exact single-factor
+  minimizations, whose restarts stop once the best overlap is below
+  1e-13.
 
 Null spaces of commuting unitary families (the states every group
 element fixes under conjugation) are computed by simultaneous
@@ -199,25 +200,29 @@ def alternating_product_minimization(
     return factors[0], factors[1], obj, history
 
 
-def _product_floor(w: np.ndarray, dim_a: int, dim_b: int) -> float:
+def _product_floor(
+    w: np.ndarray, dim_a: int, dim_b: int
+) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
     """Lower bound on every product-state overlap, from the nearest
-    Kronecker product; 0 unless W is one up to less than 1e-13.
+    Kronecker product, and the factor witnesses that reach it; 0 and
+    None unless W is one up to less than 1e-13.
 
     The realignment R[(i,k),(j,l)] = W[(i,j),(k,l)] is vec(Y) vec(Z)^T
     for W = Y x Z, so its leading singular triple gives sigma_1 Y' x Z'
     with ||W - sigma_1 Y' x Z'||_F = eps = sqrt(sum_{k>=2} sigma_k^2)
     (Van Loan and Pitsianis, 1993).  Every product state then has
     overlap at least sigma_1 d(Y') d(Z') - eps, with d the distance from
-    0 to the numerical range.
+    0 to the numerical range, and a x b, with a and b the states that
+    reach d(Y') and d(Z'), has overlap at most sigma_1 d(Y') d(Z') + eps.
     """
     r = w.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
     left, sigma, right = np.linalg.svd(r.reshape(dim_a * dim_a, dim_b * dim_b))
     eps = math.sqrt(float(sigma[1:] @ sigma[1:]))
     if eps >= _ZERO_OVERLAP:
-        return 0.0
-    m1, _ = numrange_origin_distance(left[:, 0].reshape(dim_a, dim_a))
-    m2, _ = numrange_origin_distance(right[0].reshape(dim_b, dim_b))
-    return max(0.0, float(sigma[0]) * m1 * m2 - eps)
+        return 0.0, None
+    m1, a = numrange_origin_distance(left[:, 0].reshape(dim_a, dim_a))
+    m2, b = numrange_origin_distance(right[0].reshape(dim_b, dim_b))
+    return max(0.0, float(sigma[0]) * m1 * m2 - eps), (a, b)
 
 
 def separable_distance(u, v, prob: SeparableProblem) -> MetricResult:
@@ -225,13 +230,14 @@ def separable_distance(u, v, prob: SeparableProblem) -> MetricResult:
 
     Multistart alternating optimization over pure product states; the
     reported value sqrt(1 - min^2) is achieved by the returned maximizer,
-    hence certifies the true separable distance from below.  Restarts
-    end, before ``prob.restarts`` is reached, when the best overlap is
-    below floor + 1e-13.  The floor is 0, raised after a first restart
-    that ends above 1e-13 to :func:`_product_floor`, which is positive
-    only for a Kronecker product W = U'V; its best overlap is then within
-    1e-13 of the global minimum.  Ties between restarts resolve to the
-    earliest, so output is scheduling-independent.
+    hence certifies the true separable distance from below.  The
+    certificate comes first: :func:`_product_floor` gives a floor, 0
+    unless W = U'V is a Kronecker product, and then also the product of
+    the factors' witnesses as the first candidate.  Before each restart,
+    the restarts end once the best overlap is below floor + 1e-13, so a
+    certified product runs none, and its overlap is within 1e-13 of the
+    global minimum.  Ties resolve to the earliest candidate, so output is
+    scheduling-independent.
     """
     mu, mv = _pair_matrices(u, v)
     n = mu.shape[0]
@@ -240,24 +246,21 @@ def separable_distance(u, v, prob: SeparableProblem) -> MetricResult:
             f"{prob.dim_a} x {prob.dim_b} split does not match dimension {n}"
         )
     w = mu.conj().T @ mv
+    floor, witnesses = _product_floor(w, prob.dim_a, prob.dim_b)
+    best = None if witnesses is None else (*witnesses, product_overlap(w, *witnesses))
     rng = np.random.default_rng(prob.seed)
-    runs = []
-    floor = 0.0
-    for restart in range(prob.restarts):
+    for _ in range(prob.restarts):
+        if best is not None and best[2] < floor + _ZERO_OVERLAP:
+            break
         a0 = haar_random_state(prob.dim_a, rng)
         b0 = haar_random_state(prob.dim_b, rng)
-        runs.append(
-            alternating_product_minimization(
-                w, prob.dim_a, prob.dim_b, a0, b0, prob.max_alternations
-            )
+        run = alternating_product_minimization(
+            w, prob.dim_a, prob.dim_b, a0, b0, prob.max_alternations
         )
-        # min keeps the earliest of equal objectives
-        best = min(runs, key=lambda run: run[2])
-        if restart == 0 and best[2] >= _ZERO_OVERLAP:
-            floor = _product_floor(w, prob.dim_a, prob.dim_b)
-        if best[2] < floor + _ZERO_OVERLAP:
-            break
-    alpha, beta, best_obj, _ = best
+        # a tie keeps the earlier candidate
+        if best is None or run[2] < best[2]:
+            best = run
+    alpha, beta, best_obj = best[:3]
     value = math.sqrt(min(1.0, max(0.0, 1.0 - best_obj * best_obj)))
     maximizer = np.kron(alpha, beta)
     maximizer = maximizer / np.linalg.norm(maximizer)

@@ -405,3 +405,12 @@ def test_import_does_not_load_scipy():
     )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("pair", [0, 1], ids=["mirror-n3", "haar-n16"])
+@pytest.mark.parametrize("command", ["dist", "distinguish"])
+def test_noisy_operands_exit_0(command, pair, noisy_pairs, tmp_path, capsys):
+    # within the unitarity tolerance, but W = U'V is not exactly normal
+    for name, m in zip("uv", noisy_pairs[pair]):
+        save_matrix(tmp_path / f"{name}.json", m)
+    assert cli.main([command, str(tmp_path / "u.json"), str(tmp_path / "v.json")]) == 0

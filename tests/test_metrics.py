@@ -327,3 +327,15 @@ def test_one_eigensolve_per_pair(func, counted_eigensolves):
     counted_eigensolves.clear()
     func(u, v)
     assert len(counted_eigensolves) == 1
+
+
+@pytest.mark.parametrize("pair", [0, 1], ids=["mirror-n3", "haar-n16"])
+def test_noisy_operands_decompose(pair, noisy_pairs):
+    # the kernel's first basis mixes the mirrored pair; the polar step's does not
+    u, v = noisy_pairs[pair]
+    res = sup_distance(u, v)
+    assert d_psi(u, v, res.maximizer) == pytest.approx(res.value, abs=1e-7)
+    verdict = distinguishability(u, v)
+    assert verdict.value == res.value
+    if verdict.distinguishable:
+        assert verdict.residual <= 1e-7

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unimetric import numrange
-from unimetric.circlegeom import polygon_distance_to_origin
+from unimetric.circlegeom import WitnessWeights, polygon_distance_to_origin
 from unimetric.errors import EmptyInputError, NotSquareError, NumericalRangeError
 from unimetric.linalg import haar_random_unitary, haar_unitaries
 from unimetric.numrange import numrange_origin_distance
@@ -330,14 +330,15 @@ def test_eigensolves_per_positive_call(counted_eigensolves):
 @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e3])
 @pytest.mark.parametrize("n", range(2, 7))
 def test_scalar_matrix_is_exact_in_few_eigensolves(n, scale, counted_eigensolves):
-    # every eigenvalue of A_phi ties, so the Newton and kink steps are
-    # refused; F is the single point c, and the chord's normal points at it
+    # the entry point reads c I from its eigenvalue; in the bracket, every
+    # eigenvalue of A_phi ties, so the Newton and kink steps are refused;
+    # F is the single point c, and the chord's normal points at it
     rng = np.random.default_rng([31, n])
     phases = [0.0, math.pi / 2, math.pi, -math.pi / 2, *rng.uniform(0, 2 * math.pi, 4)]
     for phase in phases:
         c = scale * rng.uniform(0.5, 2.0) * complex(math.cos(phase), math.sin(phase))
         counted_eigensolves.clear()
-        dist, wit = numrange_origin_distance(c * np.eye(n))
+        dist, wit = bracket_solve(c * np.eye(n))
         assert abs(dist - abs(c)) <= 4 * np.finfo(float).eps * abs(c)
         assert len(counted_eigensolves) <= 3
         assert abs(np.linalg.norm(wit) - 1.0) <= 1e-12
@@ -345,8 +346,9 @@ def test_scalar_matrix_is_exact_in_few_eigensolves(n, scale, counted_eigensolves
 
 def test_narrow_arc_unitary_is_exact_after_one_step(counted_eigensolves):
     # F is the polygon of the eigenvalues c e^{i theta_k}, nearest 0 at the
-    # midpoint of the chord between the arc's ends; the bracket ends'
-    # support points span that chord, so the step normal to it is exact
+    # midpoint of the chord between the arc's ends; the entry point reads it
+    # from the polygon, and in the bracket the ends' support points span
+    # that chord, so the step normal to it is exact
     rng = np.random.default_rng(32)
     for k in range(400):
         n = 3 + k % 3
@@ -355,7 +357,7 @@ def test_narrow_arc_unitary_is_exact_after_one_step(counted_eigensolves):
         q = haar_unitaries(rng, 1, n)[0]
         c = 10 ** rng.uniform(-1, 1) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         counted_eigensolves.clear()
-        dist, _ = numrange_origin_distance(c * (q * np.exp(1j * theta)) @ q.conj().T)
+        dist, _ = bracket_solve(c * (q * np.exp(1j * theta)) @ q.conj().T)
         assert abs(dist - abs(c) * math.cos(arc / 2)) <= 1e-12
         assert len(counted_eigensolves) <= 2
 
@@ -488,7 +490,8 @@ def test_large_entries_above_two_by_two(s):
 
 
 class TestWitnessGuard:
-    M = np.diag([1.0, 1j, -1.0, -1j])
+    # not normal, so the bracket solves it; e_0 has residual 1
+    M = np.diag([1.0, 1j, -1.0, -1j]) + 0.5 * np.triu(np.ones((4, 4)), 1)
 
     def test_nan_witness_raises(self, monkeypatch):
         # a NaN residual is no zero witness
@@ -515,3 +518,97 @@ class TestWitnessGuard:
             numrange_origin_distance(self.M)
         assert solves == [1]
         assert exc.value.residual == pytest.approx(1.0)
+
+    def test_nan_polygon_witness_raises(self, monkeypatch):
+        # the scaled-unitary path meets the same guard, and never falls
+        # back to the bracket
+        solves = []
+        monkeypatch.setattr(numrange, "_solve", lambda *args: solves.append(1))
+        monkeypatch.setattr(
+            numrange,
+            "polygon_distance_to_origin",
+            lambda angles: (0.0, WitnessWeights(support=(0, 1), weights=np.full(2, math.nan))),
+        )
+        with pytest.raises(NumericalRangeError):
+            numrange_origin_distance(np.diag([1.0, 1j, -1.0, -1j]))
+        assert solves == []
+
+
+SPECTRA = ("zero", "positive", "near_mirror")
+
+
+def scaled_unitary(rng, n, spectrum, deviation):
+    """c Q diag(e^{i theta}) Q' + a perturbation that leaves max |M'M - |c|^2 I|
+    near ``deviation`` |c|^2, with the eigenvalues of ``spectrum``: spread
+    past a semicircle, on an arc shorter than pi, or holding a nearly
+    mirrored pair e^{i theta}, e^{-i(theta + g)}."""
+    start = rng.uniform(0, 2 * math.pi)
+    if spectrum == "zero":
+        theta = start + 2 * math.pi * np.r_[0.0, 1 / 3, 2 / 3, rng.uniform(0, 1, n - 3)]
+    elif spectrum == "positive":
+        theta = start + rng.uniform(0.1, 3.0) * np.r_[0.0, 1.0, rng.uniform(0, 1, n - 2)]
+    else:
+        gap = 10 ** rng.uniform(-8, -6)
+        theta = np.r_[start, -start - gap, rng.uniform(0, 2 * math.pi, n - 2)]
+    q = haar_unitaries(rng, 1, n)[0]
+    u = (q * np.exp(1j * theta)) @ q.conj().T
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    first_order = np.abs(u.conj().T @ e + e.conj().T @ u).max()
+    c = 10 ** rng.uniform(-3, 3) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+    return c * (u + deviation / first_order * e)
+
+
+def gram_deviation(m):
+    gram = m.conj().T @ m
+    c = gram.trace().real / m.shape[0]
+    return np.abs(gram - c * np.eye(m.shape[0])).max() / c
+
+
+class TestScaledUnitary:
+    """n >= 3 inputs sqrt(c) U answered by the eigenvalue polygon."""
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    def test_agrees_with_the_bracket(self, spectrum, monkeypatch):
+        rng = np.random.default_rng([47, SPECTRA.index(spectrum)])
+        cases = []
+        while len(cases) < 60:
+            n = 3 + len(cases) % 6
+            m = scaled_unitary(rng, n, spectrum, 1e-13 * rng.uniform(0.0, 0.9))
+            if gram_deviation(m) <= numrange._BOUND_TOL:
+                cases.append(m)
+        # most of the cases lie within a factor 3 of the threshold
+        assert sum(gram_deviation(m) > 3e-14 for m in cases) >= 30
+        solves = []
+        solve = numrange._solve
+        monkeypatch.setattr(numrange, "_solve", lambda *args: solves.append(1) or solve(*args))
+        polygon = [numrange_origin_distance(m) for m in cases]
+        assert solves == []
+        monkeypatch.setattr(numrange, "_scaled_unitary_witness", lambda m: None)
+        for m, (dist, wit) in zip(cases, polygon):
+            scale = np.abs(m).max()
+            bracket, _ = numrange_origin_distance(m)
+            assert abs(dist - bracket) <= 1e-11 * scale
+            if spectrum != "near_mirror":
+                assert (dist == 0.0) == (spectrum == "zero")
+            if dist > 0.0:
+                assert abs(form_value(m, wit)) == pytest.approx(dist, rel=1e-14)
+            else:
+                assert abs(form_value(m, wit)) <= 1e-12 * scale
+            assert abs(np.linalg.norm(wit) - 1.0) <= 1e-14
+        assert len(solves) == len(cases)
+
+    def test_other_inputs_keep_the_bracket(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        cases = []
+        for k in range(30):
+            n = 3 + k % 4
+            cases.append(random_matrix(rng, n, k % 2 == 0))
+            # a scaled unitary perturbed past the threshold
+            cases.append(scaled_unitary(rng, n, SPECTRA[k % 3], 1e-12))
+        assert min(gram_deviation(m) for m in cases) > numrange._BOUND_TOL
+        first = [numrange_origin_distance(m) for m in cases]
+        monkeypatch.setattr(numrange, "_scaled_unitary_witness", lambda m: None)
+        for m, (dist, wit) in zip(cases, first):
+            again, again_wit = numrange_origin_distance(m)
+            assert dist == again
+            assert wit.tobytes() == again_wit.tobytes()

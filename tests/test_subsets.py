@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unimetric import subsets
+from unimetric import acceptance, subsets
 from unimetric.circlegeom import polygon_distance_to_origin
 from unimetric.errors import (
     DimensionMismatchError,
@@ -227,7 +227,7 @@ def restart_log(monkeypatch):
 
 class TestCertifiedStop:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
-    def test_product_pairs_end_after_one_restart(self, dims, restart_log):
+    def test_product_pairs_run_no_restart(self, dims, restart_log):
         rng = np.random.default_rng([41, *dims])
         for k in range(8):
             a, b = (haar_unitaries(rng, 1, d)[0] for d in dims)
@@ -237,9 +237,23 @@ class TestCertifiedStop:
             prob = SeparableProblem(*dims, restarts=4, seed=k)
             restart_log.clear()
             res = separable_distance(kron(a, b), kron(a @ y.matrix, b @ z.matrix), prob)
-            assert len(restart_log) == 1
+            assert restart_log == []
             assert m1 * m2 > 1e-3
             assert res.value == pytest.approx(math.sqrt(1.0 - (m1 * m2) ** 2), abs=1e-14)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_product_pairs_with_zero_minimum_run_no_restart(self, dims, restart_log):
+        # a factor whose numerical range holds 0 makes the floor 0; the
+        # factors' witnesses still reach it
+        rng = np.random.default_rng([44, *dims])
+        half_circle = np.diag(np.exp(1j * np.pi * np.arange(dims[0]) / (dims[0] - 1)))
+        for k in range(8):
+            w = kron(half_circle, narrow_unitary(rng, dims[1]))
+            restart_log.clear()
+            res = separable_distance(np.eye(w.shape[0]), w, SeparableProblem(*dims, seed=k))
+            assert restart_log == []
+            assert res.value == pytest.approx(1.0, abs=1e-14)
+            assert d_psi(np.eye(w.shape[0]), w, res.maximizer) == pytest.approx(1.0, abs=1e-14)
 
     def test_near_product_runs_every_restart(self, restart_log):
         rng = np.random.default_rng(42)
@@ -249,7 +263,7 @@ class TestCertifiedStop:
         w = left @ right
         sigma = realignment_singular_values(w, 2, 3)
         assert 1e-10 < sigma[1] / sigma[0] < 1e-8
-        assert subsets._product_floor(w, 2, 3) == 0.0
+        assert subsets._product_floor(w, 2, 3) == (0.0, None)
         separable_distance(np.eye(6), w, SeparableProblem(2, 3, restarts=4, seed=0))
         assert len(restart_log) == 4
         assert min(restart_log) > 1e-3
@@ -266,6 +280,21 @@ class TestCertifiedStop:
             full += len(restart_log) == 3
         # some of these pairs have a positive minimum
         assert full >= 1
+
+
+class TestAlternationAgainstOracle:
+    def test_generic_two_qubit_pairs_match_the_grid_oracle(self):
+        # the acceptance check's product pairs no longer reach the
+        # alternation, so generic pairs pin it at its default knobs
+        rng = np.random.default_rng(45)
+        positive = 0
+        for k in range(40):
+            w = haar_unitaries(rng, 1, 4)[0]
+            res = separable_distance(np.eye(4), w, SeparableProblem(2, 2, seed=k))
+            m = acceptance._polished_grid_oracle(w)
+            assert res.value == pytest.approx(math.sqrt(max(0.0, 1.0 - m * m)), abs=1e-6)
+            positive += m > 1e-6
+        assert positive >= 2
 
 
 class TestNullSpace:
