@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, MalformedInputError
-from .linalg import TAU, _freeze, reduce_angles, runs
+from .linalg import TAU, _freeze, runs
 
 # angles this close share one run of the display grouping
 RUN_TOL = 1e-9
@@ -68,21 +68,24 @@ def smallest_covering_arc(angles) -> SpectralArc:
     Angles already sorted in [0, 2pi) keep their positions, so ``start``
     and ``end`` index the input itself.
     """
-    a = np.asarray(angles, dtype=float).reshape(-1)
-    if a.size == 0:
+    # plain floats: most angle sets here are short, and numpy costs more than the loop
+    a = np.asarray(angles, dtype=float).reshape(-1).tolist()
+    if not a:
         raise EmptyInputError("angle set is empty")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a)):
         raise MalformedInputError("angles must be finite")
-    a = np.sort(reduce_angles(a))
-    gaps = np.diff(a, append=a[0] + TAU)
-    g = int(np.argmax(gaps))
+    # Python's % rounds as np.mod does: a tiny negative angle goes to 2pi, read as 0
+    a = sorted([r if r < TAU else 0.0 for r in (x % TAU for x in a)])
+    gaps = [y - x for x, y in zip(a, a[1:])]
+    gaps.append(a[0] + TAU - a[-1])
+    g = gaps.index(max(gaps))
     # with the closing gap widest the arc is the spread, exactly 0 for repeats
-    alpha = float(a[-1] - a[0] if g == a.size - 1 else TAU - gaps[g])
+    alpha = a[-1] - a[0] if g == len(a) - 1 else TAU - gaps[g]
     return SpectralArc(
         angles=_freeze(a),
         alpha=alpha,
         covers_semicircle=alpha >= math.pi - ARC_TOL,
-        start=(g + 1) % a.size,
+        start=(g + 1) % len(a),
         end=g,
     )
 

@@ -56,7 +56,12 @@ class OutOfRangeError(UnimetricError, ValueError):
 
 
 class NotAFaceError(UnimetricError, ValueError):
-    """Subspace basis columns are not orthonormal."""
+    """Subspace basis is not n x k with 1 <= k <= n, or its columns are not
+    orthonormal; then it carries the max-norm deviation max |B'B - I|."""
+
+    def __init__(self, message: str, deviation: float | None = None):
+        self.deviation = None if deviation is None else float(deviation)
+        super().__init__(message)
 
 
 class NotCommutingError(UnimetricError, ValueError):

@@ -192,12 +192,13 @@ def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
     e^{i theta} and e^{-i(theta + g)} have first-part values about g
     apart, and eigenvectors that a split there separates carry errors of
     about eps / g; kept together, the second part separates them well.
-    Only the blocks whose first-part values spread beyond ``_CLUSTER_TOL``
-    are split by the first part again.
+    The second part is formed only while a block has more than one
+    column.  Only the blocks whose first-part values spread beyond
+    ``_CLUSTER_TOL`` are split by the first part again.
     """
     basis = None
     for w in operators:
-        h1, h2 = _hermitian_parts(w)
+        h1 = (w + w.conj().T) / 2
         if basis is None:
             vals, basis = np.linalg.eigh(h1)
             blocks = runs(vals, _COARSE_TOL)
@@ -209,12 +210,20 @@ def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
             }
         else:
             blocks, uneven = _split(basis, blocks, h1, _COARSE_TOL)
-        blocks, _ = _split(basis, blocks, h2, _CLUSTER_TOL)
+        if len(blocks) == len(basis):
+            continue  # every block is one column: H2 has nothing to split
+        blocks, _ = _split(basis, blocks, (w - w.conj().T) / 2j, _CLUSTER_TOL)
         if uneven:
             even = [cols for cols in blocks if cols[0] not in uneven]
             resplit = [cols for cols in blocks if cols[0] in uneven]
             blocks = sorted(even + _split(basis, resplit, h1, _CLUSTER_TOL)[0])
     return basis, blocks
+
+
+def gram_deviation(gram: np.ndarray, c: float = 1.0) -> float:
+    """max |G - c I| for a square G, with c subtracted from G's diagonal in place."""
+    gram.flat[:: gram.shape[0] + 1] -= c
+    return float(np.abs(gram).max())
 
 
 def unitary_matrix(u) -> np.ndarray:
@@ -235,7 +244,7 @@ def unitary_matrix(u) -> np.ndarray:
     n, k = a.shape
     if n != k:
         raise NotSquareError(f"unitary must be square, got {a.shape}")
-    dev = float(np.abs(a.conj().T @ a - np.eye(n)).max())
+    dev = gram_deviation(a.conj().T @ a)
     if dev > UNITARITY_TOL:
         raise NotUnitaryError(dev, UNITARITY_TOL)
     return a
@@ -284,13 +293,6 @@ def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
 def validate_unitary(m) -> UnitaryOperator:
     """Check unitarity as :func:`unitary_matrix` does, then decompose."""
     return decompose_unitary(unitary_matrix(m))
-
-
-def operator_matrix(u) -> np.ndarray:
-    """Raw matrix of a UnitaryOperator or array-like, no validation."""
-    if isinstance(u, UnitaryOperator):
-        return u.matrix
-    return as_matrix(u)
 
 
 def schatten_norm(m, p: float) -> float:

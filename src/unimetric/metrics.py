@@ -15,7 +15,7 @@ rescaling, and the tensor composition rule live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -32,7 +32,6 @@ from .linalg import (
     TAU,
     DensityState,
     decompose_unitary,
-    operator_matrix,
     trace_distance_matrices,
     unitary_matrix,
     vector_to_json,
@@ -145,22 +144,22 @@ def d_rho(u, v, rho) -> float:
     return trace_distance_matrices(mu @ rm @ mu.conj().T, mv @ rm @ mv.conj().T)
 
 
-def sup_distance_with_arc(u, v) -> tuple[MetricResult, circlegeom.SpectralArc]:
-    """Closed-form d(U, V) with a maximizing pure state, and the arc of U'V.
+def _closed_form(
+    u, v
+) -> tuple[MetricResult, circlegeom.SpectralArc, bool, tuple[np.ndarray, np.ndarray]]:
+    """Closed-form d(U, V) and its maximizer, with the arc of the canonical
+    W, whether that W is V'U rather than U'V, and the checked operands.
 
-    The operands are checked once; W = U'V is eigensolved once and not
-    re-judged at the operands' unitarity tolerance.  W's angles are sorted
-    in [0, 2pi), so the arc's indices address W's eigenvectors.  Arguments
-    are reordered by a deterministic byte comparison before forming W, so
-    d(U, V) and d(V, U) run the identical computation and return
-    bitwise-equal values; when the order flips, the reported arc is
-    rebuilt from the mirrored angles of V'U, so it describes U'V.
+    Arguments are reordered by a deterministic byte comparison before
+    forming W, so d(U, V) and d(V, U) run the identical computation and
+    return bitwise-equal values, maximizers and arcs.  W is eigensolved
+    once and not re-judged at the operands' unitarity tolerance; its
+    angles are sorted in [0, 2pi), so the arc's indices address W's
+    eigenvectors.
     """
     mu, mv = _pair_matrices(u, v)
     swapped = mv.tobytes() < mu.tobytes()
-    if swapped:
-        mu, mv = mv, mu
-    wop = decompose_unitary(mu.conj().T @ mv)
+    wop = decompose_unitary(mv.conj().T @ mu if swapped else mu.conj().T @ mv)
     arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
     rounding = arc.alpha <= ROUNDING_ARC_ULPS * wop.dim * math.ulp(TAU)
     value = 0.0 if rounding else circlegeom.distance_from_arc(arc)
@@ -171,14 +170,29 @@ def sup_distance_with_arc(u, v) -> tuple[MetricResult, circlegeom.SpectralArc]:
         support, weights = [arc.start, arc.end], np.array([0.5, 0.5])
     psi = wop.eigen_vectors[:, support] @ np.sqrt(weights)
     psi = psi / np.linalg.norm(psi)
+    result = MetricResult(value=value, maximizer=psi, method="closed_form")
+    return result, arc, swapped, (mu, mv)
+
+
+def sup_distance_with_arc(u, v) -> tuple[MetricResult, circlegeom.SpectralArc]:
+    """Closed-form d(U, V) with a maximizing pure state, and the arc of U'V.
+
+    The arc's angles are U'V's, sorted in [0, 2pi).  When the byte order
+    of the operands puts V'U first, they are V'U's angles mirrored, and
+    ``start`` and ``end`` index those; ``alpha`` and ``covers_semicircle``
+    are always the canonical W's, so they are bitwise equal for (U, V)
+    and (V, U).
+    """
+    result, arc, swapped, _ = _closed_form(u, v)
     if swapped:
-        arc = circlegeom.smallest_covering_arc(TAU - wop.eigen_angles)
-    return MetricResult(value=value, maximizer=psi, method="closed_form"), arc
+        mirrored = circlegeom.smallest_covering_arc(TAU - arc.angles)
+        arc = replace(mirrored, alpha=arc.alpha, covers_semicircle=arc.covers_semicircle)
+    return result, arc
 
 
 def sup_distance(u, v) -> MetricResult:
     """Sup-metric d(U, V) with a maximizing pure state, closed form."""
-    return sup_distance_with_arc(u, v)[0]
+    return _closed_form(u, v)[0]
 
 
 def schatten_sup_distance(u, v, p: float) -> float:
@@ -234,10 +248,9 @@ def check_sandwich(u, v, psi) -> SandwichBounds:
 
 def distinguishability(u, v) -> DistinguishabilityResult:
     """Decide one-shot distinguishability; d(U, V) = 1 is the criterion."""
-    result, arc = sup_distance_with_arc(u, v)
+    result, arc, _, (mu, mv) = _closed_form(u, v)
     if result.value >= 1.0 - RESULT_TOL:
         alpha_vec = result.maximizer
-        mu, mv = operator_matrix(u), operator_matrix(v)
         residual = float(abs(np.vdot(mu @ alpha_vec, mv @ alpha_vec)))
         return DistinguishabilityResult(
             distinguishable=True,

@@ -95,7 +95,13 @@ import numpy as np
 
 from .circlegeom import polygon_distance_to_origin, polygon_exit
 from .errors import NotSquareError, NumericalRangeError
-from .linalg import _hermitian_parts, _polar_step, as_matrix, decompose_unitary
+from .linalg import (
+    _hermitian_parts,
+    _polar_step,
+    as_matrix,
+    decompose_unitary,
+    gram_deviation,
+)
 
 _ZERO_TOL = 1e-12
 _WITNESS_TOL = 1e-8
@@ -340,7 +346,7 @@ def _scaled_unitary_witness(m: np.ndarray) -> np.ndarray | None:
     n = m.shape[0]
     gram = m.conj().T @ m
     c = gram.trace().real / n
-    if not (c > 0.0 and np.abs(gram - c * np.eye(n)).max() <= _BOUND_TOL * c):
+    if not (c > 0.0 and gram_deviation(gram, c) <= _BOUND_TOL * c):
         return None
     # the polar step's eigenvectors are exact to second order in A's
     # deviation from unitary, A's own only to first order over H1's gaps

@@ -40,6 +40,7 @@ from .linalg import (
     _freeze,
     _joint_eigenbasis,
     as_matrix,
+    gram_deviation,
     haar_random_state,
     matrix_to_json,
     unitary_matrix,
@@ -67,10 +68,9 @@ class SubspaceFace:
         b = as_matrix(self.basis)
         if b.ndim != 2 or b.shape[1] < 1 or b.shape[1] > b.shape[0]:
             raise NotAFaceError(f"basis must be n x k with 1 <= k <= n, got {b.shape}")
-        gram = b.conj().T @ b
-        dev = float(np.abs(gram - np.eye(b.shape[1])).max())
+        dev = gram_deviation(b.conj().T @ b)
         if dev > _FACE_TOL:
-            raise NotAFaceError(f"basis columns not orthonormal (deviation {dev:.3e})")
+            raise NotAFaceError(f"basis columns not orthonormal (deviation {dev:.3e})", dev)
         object.__setattr__(self, "basis", _freeze(b))
 
     @property

@@ -12,7 +12,8 @@ from unimetric.circlegeom import (
     polygon_distance_to_origin,
     smallest_covering_arc,
 )
-from unimetric.errors import EmptyInputError
+from unimetric.errors import EmptyInputError, MalformedInputError
+from unimetric.linalg import reduce_angles
 
 TAU = 2 * math.pi
 
@@ -21,6 +22,26 @@ angle_lists = st.lists(
     min_size=1,
     max_size=12,
 )
+
+
+# unsorted angles off [0, 2pi), the reduction's edge cases and repeats
+scan_inputs = st.lists(
+    st.one_of(
+        st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False),
+        st.sampled_from([-1e-17, 0.0, -0.0, TAU, math.pi, TAU - 1e-16, -TAU, 1e-300]),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def reference_arc(angles):
+    """The numpy formulation of the scan: sort, wrapped diff, first argmax."""
+    a = np.sort(reduce_angles(np.asarray(angles, dtype=float).reshape(-1)))
+    gaps = np.diff(a, append=a[0] + TAU)
+    g = int(np.argmax(gaps))
+    alpha = float(a[-1] - a[0] if g == a.size - 1 else TAU - gaps[g])
+    return a, alpha, (g + 1) % a.size, g
 
 
 class TestSmallestCoveringArc:
@@ -72,6 +93,34 @@ class TestSmallestCoveringArc:
     def test_endpoints(self):
         arc = smallest_covering_arc([0.5, 1.0, 2.0])
         assert (arc.angles[arc.start], arc.angles[arc.end]) == (0.5, 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_inputs)
+    @example([0.3])
+    @example([2.5, 2.5, 2.5])
+    @example([-1e-17])
+    @example([TAU, -1e-17, 0.0, -0.0])
+    @example([3.0, -2.0, 9.5, 1.0])
+    def test_scan_matches_numpy_reference(self, angles):
+        arc = smallest_covering_arc(angles)
+        a, alpha, start, end = reference_arc(angles)
+        assert arc.angles.dtype == a.dtype and arc.angles.tobytes() == a.tobytes()
+        assert arc.alpha.hex() == alpha.hex()
+        assert (arc.start, arc.end) == (start, end)
+        assert not arc.angles.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_non_finite_rejected(self, bad, where):
+        angles = [0.5, 1.0]
+        angles.insert(where, bad)
+        with pytest.raises(MalformedInputError):
+            smallest_covering_arc(angles)
+
+    @pytest.mark.parametrize("empty", [np.array([]), np.zeros((0, 3))])
+    def test_empty_arrays_rejected(self, empty):
+        with pytest.raises(EmptyInputError):
+            smallest_covering_arc(empty)
 
 
 class TestDistanceFromArc:

@@ -306,6 +306,15 @@ def test_dist_arc_describes_the_given_order(tmp_path, capsys):
     assert vu["multiplicities"] == uv["multiplicities"][::-1]
 
 
+def test_dist_alpha_does_not_depend_on_operand_order(tmp_path, capsys):
+    # V'U comes first in byte order; its mirrored angles round differently
+    u = _haar_file(tmp_path, "u", 4, 80)
+    v = _haar_file(tmp_path, "v", 4, 81)
+    _, uv = run_json(capsys, ["dist", u, v])
+    _, vu = run_json(capsys, ["dist", v, u])
+    assert uv["alpha"] == vu["alpha"]
+
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
 Z = np.diag([1.0, -1.0]).astype(complex)

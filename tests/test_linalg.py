@@ -11,6 +11,7 @@ from unimetric.errors import (
     EmptyInputError,
     InvalidPError,
     MalformedInputError,
+    NotAFaceError,
     NotDensityError,
     NotSquareError,
     NotUnitaryError,
@@ -18,6 +19,7 @@ from unimetric.errors import (
 from unimetric.linalg import (
     DensityState,
     as_matrix,
+    gram_deviation,
     haar_random_unitary,
     haar_unitaries,
     kron,
@@ -28,6 +30,7 @@ from unimetric.linalg import (
     trace_distance,
     validate_unitary,
 )
+from unimetric.subsets import SubspaceFace
 from unimetric.subsets import null_space
 
 KET0 = np.array([1.0, 0.0])
@@ -68,6 +71,28 @@ class TestValidateUnitary:
         with pytest.raises(NotUnitaryError) as exc:
             validate_unitary(np.ones((2, 2)))
         assert exc.value.deviation > 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_carried_deviations_match_the_identity_formula(self, n):
+        # the former max |G - I| with an identity matrix built, kept as the oracle
+        rng = np.random.default_rng([n, 15])
+        for scale in (1e-9, 1e-3, 1.0):
+            a = haar_unitaries(rng, 1, n)[0] + scale * (
+                rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            )
+            oracle = float(np.abs(a.conj().T @ a - np.eye(n)).max())
+            with pytest.raises(NotUnitaryError) as exc:
+                validate_unitary(a)
+            assert exc.value.deviation == oracle
+            basis = a[:, : max(1, n // 2)]
+            gram = basis.conj().T @ basis
+            oracle = float(np.abs(gram - np.eye(gram.shape[0])).max())
+            with pytest.raises(NotAFaceError) as exc:
+                SubspaceFace(basis)
+            assert exc.value.deviation == oracle
+            c = gram.trace().real / gram.shape[0]
+            oracle = float(np.abs(gram - c * np.eye(gram.shape[0])).max())
+            assert gram_deviation(gram.copy(), c) == oracle
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 10_000))

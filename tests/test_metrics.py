@@ -13,7 +13,8 @@ from unimetric.errors import (
     NotUnitaryError,
     OutOfRangeError,
 )
-from unimetric.linalg import DensityState, haar_random_unitary, kron
+from unimetric import circlegeom
+from unimetric.linalg import DensityState, haar_random_unitary, haar_unitaries, kron
 from unimetric.metrics import (
     check_sandwich,
     d_psi,
@@ -288,10 +289,20 @@ class TestDistinguishability:
         assert rep.min_overlap_bound == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_bitwise(self):
-        for u, v in ((haar(4, 60), haar(4, 61)), (np.eye(4), CNOT), (I2, Z)):
+        # the arc is that of the canonically ordered W, so every field but
+        # the residual's rounding is the same computation in both orders
+        pairs = [(haar(4, 60), haar(4, 61)), (np.eye(4), CNOT), (I2, Z)]
+        for n in range(2, 17):
+            us = haar_unitaries(np.random.default_rng([n, 15]), 20, n)
+            pairs += zip(us[:10], us[10:])
+        for u, v in pairs:
             a, b = distinguishability(u, v), distinguishability(v, u)
             assert a.value == b.value
             assert a.distinguishable == b.distinguishable
+            assert a.arc_alpha == b.arc_alpha
+            assert a.min_overlap_bound == b.min_overlap_bound
+            if a.witness is not None:
+                assert a.witness.tobytes() == b.witness.tobytes()
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -327,6 +338,18 @@ def test_one_eigensolve_per_pair(func, counted_eigensolves):
     counted_eigensolves.clear()
     func(u, v)
     assert len(counted_eigensolves) == 1
+
+
+@pytest.mark.parametrize("func", [sup_distance, distinguishability])
+def test_one_arc_per_pair(func, monkeypatch):
+    u, v = haar(5, 70), haar(5, 71)
+    if not v.tobytes() < u.tobytes():
+        u, v = v, u  # the byte order swaps, so W is V'U
+    calls = []
+    arc = circlegeom.smallest_covering_arc
+    monkeypatch.setattr(circlegeom, "smallest_covering_arc", lambda a: calls.append(1) or arc(a))
+    func(u, v)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("pair", [0, 1], ids=["mirror-n3", "haar-n16"])
