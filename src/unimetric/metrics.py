@@ -30,7 +30,7 @@ from .errors import (
 )
 from .linalg import (
     TAU,
-    DensityState,
+    _density_matrix,
     decompose_unitary,
     trace_distance_matrices,
     unitary_matrix,
@@ -136,7 +136,7 @@ def d_psi(u, v, psi) -> float:
 def d_rho(u, v, rho) -> float:
     """Trace distance between U rho U' and V rho V'."""
     mu, mv = _pair_matrices(u, v)
-    rm = rho.matrix if isinstance(rho, DensityState) else DensityState.from_matrix(rho).matrix
+    rm = _density_matrix(rho)
     if rm.shape[0] != mu.shape[0]:
         raise DimensionMismatchError(
             f"state dimension {rm.shape[0]} differs from operators {mu.shape[0]}"

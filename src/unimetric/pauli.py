@@ -12,7 +12,12 @@ phase) give exactly 0.
 
 A subgroup acts as scalars on a common subspace only if it is abelian;
 for an abelian subgroup the stabilizer faces are the joint eigenspaces
-of the generators, one face per character tuple.
+of the generators, one face per character tuple.  They come from the
+monomial action g|b> = i^(p + x.z) (-1)^(z.b) |b xor x> of g = i^p P
+(Gottesman, PhD thesis, 1997, arXiv:quant-ph/9705052): each generator
+splits every block of orthonormal columns into its eigenspaces for
++-i^p, so the characters are exact fourth roots of unity and no
+eigensolve is made.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import LengthMismatchError, PauliParseError, UnimetricError
-from .subsets import SubspaceFace, null_space
+from .subsets import SubspaceFace
 
 _LETTER_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -35,10 +40,13 @@ _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_TO_BITS = {v: k for k, v in _BITS_TO_LETTER.items()}
 
 _DENSE_QUBIT_LIMIT = 8
-_FOURTH_ROOTS = (1 + 0j, 1j, -1 + 0j, -1j)
-_CHARACTER_SNAP_TOL = 1e-8
-# subgroups larger than this keep no element list
-CLOSURE_LIMIT = 2**16
+
+
+def _check_dense(num_qubits: int) -> None:
+    if num_qubits > _DENSE_QUBIT_LIMIT:
+        raise UnimetricError(
+            f"dense form limited to {_DENSE_QUBIT_LIMIT} qubits, got {num_qubits}"
+        )
 
 
 def _phase_power_table() -> dict[tuple[int, int, int, int], int]:
@@ -98,10 +106,7 @@ class PauliElement:
         return PauliElement(phase_power=(-self.phase_power) % 4, x=self.x, z=self.z)
 
     def to_matrix(self) -> np.ndarray:
-        if self.num_qubits > _DENSE_QUBIT_LIMIT:
-            raise UnimetricError(
-                f"dense form limited to {_DENSE_QUBIT_LIMIT} qubits, got {self.num_qubits}"
-            )
+        _check_dense(self.num_qubits)
         mat = reduce(np.kron, (_LETTER_MATRICES[c] for c in self.letters))
         return self.phase * mat
 
@@ -186,10 +191,9 @@ def pauli_distance(a: PauliElement, b: PauliElement) -> float:
 
 @dataclass(frozen=True)
 class PauliSubgroup:
-    """Subgroup given by generators; closure enumerated while it stays small."""
+    """Subgroup given by generators; the symplectic form decides commutation."""
 
     generators: tuple[PauliElement, ...]
-    elements: tuple[PauliElement, ...] | None
     is_abelian: bool
 
     @property
@@ -212,25 +216,7 @@ class PauliSubgroup:
             for i in range(len(gens))
             for j in range(i + 1, len(gens))
         )
-        seen = {(g.phase_power, g.x, g.z): g for g in gens}
-        ident = PauliElement.identity(n)
-        seen.setdefault((ident.phase_power, ident.x, ident.z), ident)
-        frontier = list(seen.values())
-        overflow = False
-        while frontier and not overflow:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    p = pauli_product(e, g)
-                    key = (p.phase_power, p.x, p.z)
-                    if key not in seen:
-                        seen[key] = p
-                        nxt.append(p)
-                        if len(seen) > CLOSURE_LIMIT:
-                            overflow = True
-            frontier = nxt
-        elements = None if overflow else tuple(seen.values())
-        return cls(generators=gens, elements=elements, is_abelian=abelian)
+        return cls(generators=gens, is_abelian=abelian)
 
 
 @dataclass(frozen=True)
@@ -247,15 +233,46 @@ class StabilizerDecomposition:
     abelian: bool
 
 
-def _snap_character(c: complex) -> complex:
-    for root in _FOURTH_ROOTS:
-        if abs(c - root) <= _CHARACTER_SNAP_TOL:
-            return root
-    return c
+def _split(g: PauliElement, blocks):
+    """Each (characters, basis) block split into g's eigenspaces for i^p and
+    -i^p, where g = i^p P; empty sides are dropped.
+
+    The columns of a block have disjoint supports, and g permutes them up
+    to phase, since (g v)[b xor x] = c[b] v[b].  So basis' g basis is
+    monomial with exact zeros: column j's one entry is in the row of the
+    column that owns the largest entry of g v_j, and every nonzero term
+    of that entry's sum is equal.  A column g fixes goes to the side its
+    entry is nearer; each pair of columns g swaps gives
+    (v + conj(lam) g v)/sqrt(2) to each side lam, and the new columns have
+    disjoint supports again.
+    """
+    n = g.num_qubits
+    src = np.arange(2**n) ^ sum(xk << (n - 1 - q) for q, xk in enumerate(g.x))
+    signs = reduce(np.kron, (np.array([1, 1 - 2 * zk]) for zk in g.z))
+    y_count = sum(xk & zk for xk, zk in zip(g.x, g.z))
+    c = 1j ** ((g.phase_power + y_count) % 4) * signs
+    lams = (1j**g.phase_power, 1j ** ((g.phase_power + 2) % 4))
+    for chars, basis in blocks:
+        gb = (c[:, None] * basis)[src]
+        rows = np.abs(gb).argmax(axis=0)
+        partner = np.abs(basis[rows]).argmax(axis=1)
+        cols = np.arange(basis.shape[1])
+        fixed, lead = partner == cols, partner > cols
+        term = basis[rows, cols].conj() * gb[rows, cols]
+        for lam in lams:
+            kept = basis[:, fixed & ((term * lam.conjugate()).real > 0)]
+            paired = (basis[:, lead] + lam.conjugate() * gb[:, lead]) / np.sqrt(2.0)
+            if kept.shape[1] or paired.shape[1]:
+                yield chars + (lam,), np.hstack([kept, paired])
 
 
 def stabilizer_subspace(k: PauliSubgroup) -> StabilizerDecomposition:
     """Joint-eigenspace faces of an abelian Pauli subgroup.
+
+    Starting from the identity basis, every block is split by one
+    generator at a time, and a character is the eigenvalue chosen, so it
+    is exact.  A dependent generator, or one whose relation gives -I,
+    leaves one side of each split empty.
 
     A non-abelian subgroup admits no nonzero common eigenvector (an
     anticommuting pair would need an eigenvalue of modulus 1 and its
@@ -264,15 +281,9 @@ def stabilizer_subspace(k: PauliSubgroup) -> StabilizerDecomposition:
     """
     if not k.is_abelian:
         return StabilizerDecomposition(faces=(), abelian=False)
-    mats = [g.to_matrix() for g in k.generators]
-    result = null_space(mats)
-    faces = []
-    for cols, chars in zip(result.blocks, result.characters):
-        basis = result.common_eigenbasis[:, list(cols)]
-        faces.append(
-            StabilizerFace(
-                face=SubspaceFace(basis),
-                characters=tuple(_snap_character(c) for c in chars),
-            )
-        )
-    return StabilizerDecomposition(faces=tuple(faces), abelian=True)
+    _check_dense(k.num_qubits)
+    blocks = [((), np.eye(2**k.num_qubits, dtype=complex))]
+    for g in k.generators:
+        blocks = list(_split(g, blocks))
+    faces = tuple(StabilizerFace(SubspaceFace(b), chars) for chars, b in blocks)
+    return StabilizerDecomposition(faces=faces, abelian=True)

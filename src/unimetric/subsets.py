@@ -18,7 +18,8 @@ Two cases have usable structure and are implemented here:
 
 Null spaces of commuting unitary families (the states every group
 element fixes under conjugation) are computed by simultaneous
-diagonalization and are what the stabilizer machinery builds on.
+diagonalization.  Pauli stabilizer faces do not need it: ``pauli``
+splits them exactly from the generators' monomial action.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class SeparableProblem:
             except TypeError:
                 raise OutOfRangeError(f"{name} must be an integer") from None
         if self.dim_a < 1 or self.dim_b < 1:
-            raise OutOfRangeError("factor dimensions must be positive")
+            raise OutOfRangeError("dim_a and dim_b must be positive")
         if self.restarts < 1 or self.max_alternations < 1:
             raise OutOfRangeError("restarts and max_alternations must be positive")
         if self.seed < 0:

@@ -357,6 +357,29 @@ def test_empty_matrix_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_nine_qubit_stabilizer_exits_5_without_traceback():
+    # the faces are dense vectors, limited to 8 qubits like to_matrix
+    proc = _run_cli("stabilizer", "--gens", "+ZZZZZZZZZ")
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert "8 qubits" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sep-dist", "I4", "swap", "--dims", "2x2"],
+        ["stabilizer", "--gens", ","],
+        ["selftest", "--criteria", "a"],
+    ],
+    ids=["dims", "gens", "criteria"],
+)
+def test_malformed_arguments_exit_2(argv, matrix_files, capsys):
+    argv = [matrix_files.get(tok, tok) for tok in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_zero_restarts_exit_5_without_traceback(matrix_files):
     proc = _run_cli(
         "sep-dist", matrix_files["I4"], matrix_files["swap"], "--dims", "2,2", "--restarts", "0"

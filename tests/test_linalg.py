@@ -15,6 +15,7 @@ from unimetric.errors import (
     NotDensityError,
     NotSquareError,
     NotUnitaryError,
+    OutOfRangeError,
 )
 from unimetric.linalg import (
     DensityState,
@@ -371,3 +372,20 @@ def test_empty_matrices_raise_empty_input(shape):
     for call in calls:
         with pytest.raises(EmptyInputError):
             call(empty)
+
+
+@pytest.mark.parametrize(
+    "call, arg, error, match",
+    [
+        (as_matrix, np.zeros(3), NotSquareError, "ndim=1"),
+        (as_matrix, [[math.nan]], MalformedInputError, "finite"),
+        (DensityState.from_matrix, np.ones((2, 3)) / 2, NotSquareError, "square"),
+        (DensityState.from_matrix, [[0.5, 0.1], [0.0, 0.5]], NotDensityError, "Hermitian"),
+        (DensityState.from_matrix, np.diag([1.5, -0.5]), NotDensityError, "eigenvalue"),
+        (haar_random_unitary, 0, OutOfRangeError, "dimension"),
+    ],
+    ids=["vector", "nan", "non-square", "non-hermitian", "negative", "haar-zero"],
+)
+def test_invalid_inputs_raise_typed_errors(call, arg, error, match):
+    with pytest.raises(error, match=match):
+        call(arg)

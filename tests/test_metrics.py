@@ -79,6 +79,10 @@ class TestDRho:
         u, v = haar(3, 2), haar(3, 3)
         assert d_rho(u, v, np.eye(3) / 3) <= 1e-12
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            d_rho(I2, Z, np.eye(3) / 3)
+
     def test_pure_state_agrees_with_d_psi(self):
         rng = np.random.default_rng(5)
         u, v = haar(4, 4), haar(4, 5)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unimetric.errors import LengthMismatchError, PauliParseError
+from unimetric.errors import LengthMismatchError, PauliParseError, UnimetricError
 from unimetric.metrics import sup_distance
 from unimetric.pauli import (
     PauliElement,
@@ -15,6 +15,15 @@ from unimetric.pauli import (
     stabilizer_subspace,
     symplectic_form,
 )
+from unimetric.subsets import null_space
+
+CODES = {
+    "five-qubit": (["+XZZXI", "+IXZZX", "+XIXZZ", "+ZXIXZ"], 16),
+    "steane": (
+        ["+IIIXXXX", "+IXXIIXX", "+XIXIXIX", "+IIIZZZZ", "+IZZIIZZ", "+ZIZIZIZ"],
+        64,
+    ),
+}
 
 elements = st.builds(
     PauliElement.from_letters,
@@ -72,6 +81,10 @@ class TestProduct:
         with pytest.raises(LengthMismatchError):
             pauli_product(parse_pauli("X"), parse_pauli("XX"))
 
+    def test_element_bit_strings_of_different_lengths(self):
+        with pytest.raises(LengthMismatchError):
+            PauliElement(phase_power=0, x=(0, 1), z=(1,))
+
     @settings(max_examples=80, deadline=None)
     @given(elements, elements)
     def test_dense_consistency(self, a, b):
@@ -124,18 +137,14 @@ class TestSubgroup:
         assert PauliSubgroup.from_generators(["+ZZ", "+XX"]).is_abelian
         assert not PauliSubgroup.from_generators(["+X", "+Z"]).is_abelian
 
-    def test_closure_of_bell_group(self):
-        g = PauliSubgroup.from_generators(["+ZZ", "+XX"])
-        letters = sorted(e.letters for e in g.elements)
-        assert letters == ["II", "XX", "YY", "ZZ"]
-
-    def test_closure_closed_under_product(self):
-        g = PauliSubgroup.from_generators(["+ZZ", "+XX"])
-        keys = {(e.phase_power, e.x, e.z) for e in g.elements}
-        for a in g.elements:
-            for b in g.elements:
-                p = pauli_product(a, b)
-                assert (p.phase_power, p.x, p.z) in keys
+    @pytest.mark.parametrize(
+        "generators, error",
+        [([], UnimetricError), (["+ZZ", "+X"], LengthMismatchError)],
+        ids=["empty", "mixed-lengths"],
+    )
+    def test_rejects_bad_generator_lists(self, generators, error):
+        with pytest.raises(error):
+            PauliSubgroup.from_generators(generators)
 
 
 class TestStabilizerSubspace:
@@ -175,21 +184,67 @@ class TestStabilizerSubspace:
                 mix = (b[:, 0] + sign * b[:, 1]) / np.sqrt(2)
                 assert np.linalg.norm(mix - proj @ mix) <= 1e-10
 
-    def test_five_qubit_code_one_eigensolve_per_hermitian_part(self, counted_eigensolves):
-        # every block of a Pauli family has one size at each step, so each
-        # generator's two Hermitian parts take one batched eigensolve each
-        group = PauliSubgroup.from_generators(["+XZZXI", "+IXZZX", "+XIXZZ", "+ZXIXZ"])
-        dec = stabilizer_subspace(group)
-        assert len(dec.faces) == 16
-        assert len(counted_eigensolves) <= 8
+    @pytest.mark.parametrize("name", sorted(CODES))
+    def test_code_faces_need_no_eigensolve(self, name, counted_eigensolves):
+        generators, count = CODES[name]
+        dec = stabilizer_subspace(PauliSubgroup.from_generators(generators))
+        assert len(dec.faces) == count
+        assert counted_eigensolves == []
 
     def test_generalized_pseudometric_vanishes_on_faces(self):
-        group = PauliSubgroup.from_generators(["+ZZ", "+XX"])
-        dec = stabilizer_subspace(group)
+        zz, xx = parse_pauli("+ZZ"), parse_pauli("+XX")
+        group = [PauliElement.identity(2), zz, xx, pauli_product(zz, xx)]
+        dec = stabilizer_subspace(PauliSubgroup.from_generators([zz, xx]))
         for f in dec.faces:
             vec = f.face.basis[:, 0]
-            for g in group.elements:
-                for h in group.elements:
+            for g in group:
+                for h in group:
                     rel = g.to_matrix().conj().T @ h.to_matrix()
                     overlap = abs(vec.conj() @ rel @ vec)
                     assert 1.0 - overlap**2 <= 1e-8
+
+    def test_nine_qubits_exceed_the_dense_limit(self):
+        with pytest.raises(UnimetricError):
+            stabilizer_subspace(PauliSubgroup.from_generators(["+ZZZZZZZZZ"]))
+
+
+def random_abelian_generators(rng, n):
+    """Commuting Pauli strings with random phases; half the draws append a
+    product of earlier generators, times a random power of i, as a
+    dependent generator (its relation gives -I or +-iI unless the power is 0)."""
+    gens = []
+    for _ in range(int(rng.integers(1, 3 * n + 1))):
+        bits = rng.integers(0, 2, size=(2, n))
+        g = PauliElement(int(rng.integers(4)), tuple(map(int, bits[0])), tuple(map(int, bits[1])))
+        if all(symplectic_form(g, h) == 0 for h in gens):
+            gens.append(g)
+    if rng.random() < 0.5:
+        dep = PauliElement.identity(n)
+        for h in gens:
+            if rng.random() < 0.5:
+                dep = pauli_product(dep, h)
+        gens.append(PauliElement(dep.phase_power + int(rng.integers(4)), dep.x, dep.z))
+    return gens
+
+
+def test_faces_match_dense_null_space():
+    rng = np.random.default_rng(16)
+    for trial in range(90):
+        n = 1 + trial % 6
+        gens = random_abelian_generators(rng, n)
+        dec = stabilizer_subspace(PauliSubgroup.from_generators(gens))
+        ref = null_space([g.to_matrix() for g in gens])
+        dense = {
+            tuple((round(c.real), round(c.imag)) for c in chars): cols
+            for cols, chars in zip(ref.blocks, ref.characters)
+        }
+        assert len(dec.faces) == len(dense)
+        total = np.zeros((2**n, 2**n), dtype=complex)
+        for f in dec.faces:
+            assert all(c in (1, 1j, -1, -1j) for c in f.characters)
+            key = tuple((int(c.real), int(c.imag)) for c in f.characters)
+            b = ref.common_eigenbasis[:, list(dense[key])]
+            proj = f.face.basis @ f.face.basis.conj().T
+            assert np.abs(proj - b @ b.conj().T).max() <= 1e-12
+            total += proj
+        assert np.abs(total - np.eye(2**n)).max() <= 1e-12

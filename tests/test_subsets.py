@@ -41,6 +41,10 @@ class TestSubspaceFace:
         with pytest.raises(NotAFaceError):
             SubspaceFace(np.ones((3, 2)))
 
+    def test_rejects_more_columns_than_rows(self):
+        with pytest.raises(NotAFaceError):
+            SubspaceFace(np.eye(2, 3))
+
     def test_accepts_standard_columns(self):
         f = SubspaceFace(np.eye(4)[:, :2])
         assert f.dim == 2 and f.ambient_dim == 4
@@ -180,8 +184,10 @@ class TestSeparableProblem:
         "field, value",
         [
             ("dim_a", 2.0),
+            ("dim_a", 0),
             ("dim_b", "3"),
             ("restarts", 2.5),
+            ("restarts", 0),
             ("max_alternations", 3.5),
             ("seed", 1.5),
             ("seed", -1),
@@ -368,6 +374,10 @@ class TestNullSpace:
     def test_empty_rejected(self):
         with pytest.raises(EmptyGeneratorsError):
             null_space([])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            null_space([Z, np.kron(Z, Z)])
 
     def test_json_shape(self):
         res = null_space([Z])
