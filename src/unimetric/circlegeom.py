@@ -5,21 +5,27 @@ Three operations drive the closed-form unitary metric:
 * :func:`smallest_covering_arc` finds the shortest arc containing every
   point, 2pi minus the largest circular gap between consecutive angles;
   no angles merge, so the arc is monotone and continuous in them.
-* :func:`polygon_distance_to_origin` measures the distance from 0 to the
-  convex hull of the points exp(i*theta).  It is computed with plain 2-d
-  segment geometry, independently of the arc formula, so the identity
-  dist = cos(alpha/2) (0 once alpha >= pi) can be used as a cross-check
-  between two genuinely different code paths.  Its witness comes from
-  :func:`polygon_exit`, the convex-polygon routine that the numerical
-  range's witnesses share.
 * :func:`distance_from_arc` is the closed form itself: sin(alpha/2) for
   arcs shorter than a semicircle, 1 once a semicircle is covered.
+* :func:`saturated_witness` gives the closed form its witness once a
+  semicircle is covered: three points around the widest gap whose
+  convex combination is 0, weighted by the three-sine identity.
+
+:func:`polygon_distance_to_origin` measures the distance from 0 to the
+convex hull of the points exp(i*theta) with plain 2-d segment geometry,
+independently of the arc formula, so the identity dist = cos(alpha/2)
+(0 once alpha >= pi) is a cross-check between two genuinely different
+code paths; the closed form does not call it.  Its witness comes from
+:func:`polygon_exit`, the convex-polygon routine that the numerical
+range's witnesses share.
 
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -158,6 +164,43 @@ def polygon_distance_to_origin(angles) -> tuple[float, WitnessWeights]:
         return 0.0, WitnessWeights(support=(far, k, k1), weights=_freeze(weights))
     dist = 0.0 if arc.covers_semicircle else float(abs(b))
     return dist, WitnessWeights(support=(k, k1), weights=_freeze(np.array([1.0 - t, t])))
+
+
+def saturated_witness(arc: SpectralArc) -> WitnessWeights:
+    """Convex weights on at most three vertices whose combination is 0,
+    for an arc that covers a semicircle (alpha >= pi).
+
+    Every gap is then at most pi.  The widest runs from b = angles[end]
+    to c = angles[start], and the anchor a is the vertex nearest the
+    middle of the covering arc, found by bisection; so a + pi lies in
+    that gap and 0 lies in the triangle (a, b, c).  The identity
+    sin(c - b) e^{ia} + sin(a - c) e^{ib} + sin(b - a) e^{ic} = 0 gives
+    the weights, each sine clamped at 0 against rounding: b and c share
+    1 - s as sin(a - c) : sin(b - a), which puts their combination q on
+    the ray from e^{ia} through 0, and s = |q| / (1 + |q|) is a's share,
+    equal to sin(c - b) over the sum of the sines but exact to rounding
+    even when the triangle is thin.  When the three vertices miss 0 by
+    more than the chord bc, whose midpoint lies |cos((c - b)/2)| from 0
+    (the anchor repeats b or c, or the triangle is flat), the weights
+    are 1/2 on b and c.
+    """
+    angles = arc.angles.tolist()
+    n = len(angles)
+    b, c = angles[arc.end], angles[arc.start]
+    mid = (c + arc.alpha / 2.0) % TAU
+    i = bisect.bisect_left(angles, mid)
+    k = min((i - 1) % n, i % n, key=lambda j: abs(math.remainder(angles[j] - mid, TAU)))
+    a = angles[k]
+    za, zb, zc = cmath.exp(1j * a), cmath.exp(1j * b), cmath.exp(1j * c)
+    sin_ac, sin_ba = max(0.0, math.sin(a - c)), max(0.0, math.sin(b - a))
+    if sin_ac + sin_ba > 0.0:
+        t = sin_ba / (sin_ac + sin_ba)
+        q = zb + t * (zc - zb)
+        s = abs(q) / (1.0 + abs(q))
+        p = [s, (1.0 - s) * (1.0 - t), (1.0 - s) * t]
+        if abs(p[0] * za + p[1] * zb + p[2] * zc) <= abs(zb + zc) / 2.0:
+            return WitnessWeights(support=(k, arc.end, arc.start), weights=_freeze(np.array(p)))
+    return WitnessWeights(support=(arc.end, arc.start), weights=_freeze(np.array([0.5, 0.5])))
 
 
 def polygon_csv(arc: SpectralArc) -> str:

@@ -8,12 +8,20 @@ form: d = sin(alpha/2) for covering arc alpha < pi, else 1.  The value
 is a metric on the projective unitary group: zero on U = cV, where the
 arc of U'V is no longer than the rounding of its angles.
 
+At n = 2 the formula is explicit and needs no eigensolve: the
+eigenvalues of W are tr(W)/2 +- mu, so d = |mu|, and the adjugate of
+W - lambda I gives the eigenvectors and so the maximizer.  From n = 3
+W is eigensolved once; a saturated arc (alpha >= pi) takes its witness
+from three eigenvalues whose convex combination is 0
+(:func:`circlegeom.saturated_witness`).
+
 Per-state pseudometrics (:func:`d_psi`, :func:`d_rho`), the Schatten-p
 rescaling, and the tensor composition rule live here too.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Literal
@@ -23,12 +31,14 @@ import numpy as np
 from . import circlegeom
 from .errors import (
     DimensionMismatchError,
+    InternalCheckError,
     InvalidPError,
     MalformedInputError,
     NotNormalizedError,
     OutOfRangeError,
 )
 from .linalg import (
+    EIGEN_TOL,
     TAU,
     _density_matrix,
     decompose_unitary,
@@ -144,6 +154,40 @@ def d_rho(u, v, rho) -> float:
     return trace_distance_matrices(mu @ rm @ mu.conj().T, mv @ rm @ mv.conj().T)
 
 
+def _closed_form_2x2(w: np.ndarray) -> tuple[float, list[float], np.ndarray]:
+    """|mu|, the eigenangles and the maximizer of a 2x2 W, with no eigensolve.
+
+    With t = tr(W)/2, h = (w00 - w11)/2 and mu = sqrt(h^2 + w01 w10), the
+    eigenvalues are t +- mu, so d = |mu|; the discriminant form
+    sqrt(tr^2 - 4 det)/2 loses half the digits to cancellation.  Each
+    eigenvector v+- is the longer column of adj(W - (t +- mu) I),
+    (w01, +-mu - h) or (+-mu + h, w10), normalized; both vanish only for
+    a scalar W, whose eigenvectors are the standard basis.  The maximizer
+    is v+ + v-, normalized.  A residual |W v - lambda v| above
+    ``EIGEN_TOL`` raises ``InternalCheckError``.
+    """
+    (w00, w01), (w10, w11) = w.tolist()
+    t = (w00 + w11) / 2
+    h = (w00 - w11) / 2
+    mu = cmath.sqrt(h * h + w01 * w10)
+    angles, vecs = [], []
+    for s, basis in ((mu, (1.0, 0.0)), (-mu, (0.0, 1.0))):
+        cols = ((w01, s - h), (s + h, w10))
+        norms = [math.hypot(abs(x), abs(y)) for x, y in cols]
+        nrm = max(norms)
+        x, y = basis if nrm == 0.0 else (z / nrm for z in cols[norms.index(nrm)])
+        lam = t + s
+        resid = math.hypot(abs(w00 * x + w01 * y - lam * x), abs(w10 * x + w11 * y - lam * y))
+        if resid > EIGEN_TOL:
+            raise InternalCheckError("eigendecomposition residual", resid, EIGEN_TOL)
+        angles.append(cmath.phase(lam))
+        vecs.append((x, y))
+    (x1, y1), (x2, y2) = vecs
+    x, y = x1 + x2, y1 + y2
+    nrm = math.hypot(abs(x), abs(y))
+    return min(1.0, abs(mu)), angles, np.array([x / nrm, y / nrm])
+
+
 def _closed_form(
     u, v
 ) -> tuple[MetricResult, circlegeom.SpectralArc, bool, tuple[np.ndarray, np.ndarray]]:
@@ -152,24 +196,33 @@ def _closed_form(
 
     Arguments are reordered by a deterministic byte comparison before
     forming W, so d(U, V) and d(V, U) run the identical computation and
-    return bitwise-equal values, maximizers and arcs.  W is eigensolved
-    once and not re-judged at the operands' unitarity tolerance; its
-    angles are sorted in [0, 2pi), so the arc's indices address W's
-    eigenvectors.
+    return bitwise-equal values, maximizers and arcs.  A 2x2 W takes the
+    explicit formulas of :func:`_closed_form_2x2`.  A larger W is
+    eigensolved once and not re-judged at the operands' unitarity
+    tolerance; its angles are sorted in [0, 2pi), so the arc's indices
+    address its eigenvectors, and an arc covering a semicircle takes the
+    three-vertex witness of :func:`circlegeom.saturated_witness`.
     """
     mu, mv = _pair_matrices(u, v)
     swapped = mv.tobytes() < mu.tobytes()
-    wop = decompose_unitary(mv.conj().T @ mu if swapped else mu.conj().T @ mv)
-    arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
-    rounding = arc.alpha <= ROUNDING_ARC_ULPS * wop.dim * math.ulp(TAU)
-    value = 0.0 if rounding else circlegeom.distance_from_arc(arc)
-    if value >= 1.0:
-        _, witness = circlegeom.polygon_distance_to_origin(arc)
-        support, weights = list(witness.support), witness.weights
+    w = mv.conj().T @ mu if swapped else mu.conj().T @ mv
+    n = w.shape[0]
+    if n == 2:
+        value, angles, psi = _closed_form_2x2(w)
+        arc = circlegeom.smallest_covering_arc(angles)
     else:
-        support, weights = [arc.start, arc.end], np.array([0.5, 0.5])
-    psi = wop.eigen_vectors[:, support] @ np.sqrt(weights)
-    psi = psi / np.linalg.norm(psi)
+        wop = decompose_unitary(w)
+        arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
+        value = circlegeom.distance_from_arc(arc)
+        if arc.alpha >= math.pi:
+            witness = circlegeom.saturated_witness(arc)
+            support, weights = list(witness.support), witness.weights
+        else:
+            support, weights = [arc.start, arc.end], np.array([0.5, 0.5])
+        psi = wop.eigen_vectors[:, support] @ np.sqrt(weights)
+        psi = psi / np.linalg.norm(psi)
+    if arc.alpha <= ROUNDING_ARC_ULPS * n * math.ulp(TAU):
+        value = 0.0
     result = MetricResult(value=value, maximizer=psi, method="closed_form")
     return result, arc, swapped, (mu, mv)
 

@@ -10,6 +10,7 @@ from unimetric.circlegeom import (
     distance_from_arc,
     polygon_csv,
     polygon_distance_to_origin,
+    saturated_witness,
     smallest_covering_arc,
 )
 from unimetric.errors import EmptyInputError, MalformedInputError
@@ -205,6 +206,82 @@ class TestPolygonDistance:
         assert np.all(wit.weights >= 0)
         assert abs(wit.weights.sum() - 1.0) <= 1e-12
         assert abs(abs(wit.combination(arc.angles)) - dist) <= 1e-10
+
+
+ULP_PI = math.ulp(math.pi)
+
+
+def covering_semicircle(angles):
+    arc = smallest_covering_arc(angles)
+    return arc.alpha >= math.pi
+
+
+class TestSaturatedWitness:
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            [0.0, 0.0, math.pi],
+            [0.0, math.pi, math.pi],
+            [1.0, 1.0 + math.pi, 1.0, 1.0 + math.pi],
+            [0.5, 0.5, 0.5, 0.5 + math.pi],
+            [0.0, TAU / 3, TAU / 3, 2 * TAU / 3, 2 * TAU / 3],
+            [0.0, 1e-10, math.pi],
+            [2.0, 2.0 + 1e-9, 2.0 + math.pi + 5e-10],
+            # sin(c - b) / (sum of sines) for a's share would miss 0 by 1.7e-9 here
+            [0.7, 0.7 + 1e-7, 0.7 + math.pi + 5e-8],
+            [0.0, math.pi / 2, math.pi],
+        ],
+        ids=[
+            "antipodal-repeat-low",
+            "antipodal-repeat-high",
+            "antipodal-pairs",
+            "antipodal-triple",
+            "repeated-angles",
+            "thin-triangle",
+            "thin-two-clusters",
+            "thin-rounded-sines",
+            "half-circle",
+        ],
+    )
+    def test_edge_spectra(self, angles):
+        arc = smallest_covering_arc(angles)
+        assert arc.alpha >= math.pi
+        wit = saturated_witness(arc)
+        assert np.all(wit.weights >= 0)
+        assert abs(wit.weights.sum() - 1.0) <= 1e-15
+        assert len(set(wit.support)) == len(wit.support)
+        assert abs(wit.combination(arc.angles)) <= 1e-15
+
+    @pytest.mark.parametrize("ulps", range(-4, 1))
+    def test_gap_ulps_below_pi(self, ulps):
+        # the widest gap, 0 to pi + ulps * ulp(pi), is at most pi, and the
+        # sine across it is at rounding level
+        for third in (1.5 * math.pi, math.pi + 1e-9, TAU - 1e-9):
+            arc = smallest_covering_arc([0.0, math.pi + ulps * ULP_PI, third])
+            assert arc.alpha >= math.pi
+            wit = saturated_witness(arc)
+            assert np.all(wit.weights >= 0)
+            assert abs(wit.combination(arc.angles)) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=TAU), min_size=3, max_size=16).filter(
+            covering_semicircle
+        )
+    )
+    def test_combination_is_zero(self, angles):
+        arc = smallest_covering_arc(angles)
+        wit = saturated_witness(arc)
+        assert np.all(wit.weights >= 0)
+        assert abs(wit.weights.sum() - 1.0) <= 1e-15
+        assert abs(wit.combination(arc.angles)) <= 1e-14
+
+    def test_anchor_is_nearest_the_middle_of_the_arc(self):
+        # the arc runs from pi to 2pi; 3pi/2 + 0.1 is nearest its middle
+        angles = [0.0, math.pi, math.pi + 0.3, 1.5 * math.pi + 0.1, TAU - 0.2]
+        arc = smallest_covering_arc(angles)
+        wit = saturated_witness(arc)
+        assert wit.support == (3, arc.end, arc.start)
 
 
 class TestPolygonCsv:

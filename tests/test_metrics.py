@@ -1,3 +1,5 @@
+import cmath
+import functools
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from unimetric.errors import (
     DimensionMismatchError,
+    InternalCheckError,
     InvalidPError,
     MalformedInputError,
     NotNormalizedError,
@@ -26,6 +29,7 @@ from unimetric.metrics import (
 )
 from unimetric.subsets import SeparableProblem, face_distance, separable_distance
 
+TAU = 2 * math.pi
 I2 = np.eye(2)
 Z = np.diag([1.0, -1.0])
 KET0 = np.array([1.0, 0.0])
@@ -297,8 +301,14 @@ class TestDistinguishability:
         # the residual's rounding is the same computation in both orders
         pairs = [(haar(4, 60), haar(4, 61)), (np.eye(4), CNOT), (I2, Z)]
         for n in range(2, 17):
-            us = haar_unitaries(np.random.default_rng([n, 15]), 20, n)
+            rng = np.random.default_rng([n, 15])
+            us = haar_unitaries(rng, 20, n)
             pairs += zip(us[:10], us[10:])
+            if n >= 3:
+                # every gap below 3pi/n <= pi: the arc covers a semicircle
+                for u, q in zip(us[:5], haar_unitaries(rng, 5, n)):
+                    angles = (np.arange(n) + rng.uniform(0.0, 0.5, n)) * TAU / n
+                    pairs.append((u, u @ spectrum(q, angles)))
         for u, v in pairs:
             a, b = distinguishability(u, v), distinguishability(v, u)
             assert a.value == b.value
@@ -309,8 +319,137 @@ class TestDistinguishability:
                 assert a.witness.tobytes() == b.witness.tobytes()
 
 
+def spectrum(q, angles):
+    """The unitary with eigenvalues e^{i angles} on the columns of q."""
+    return (q * np.exp(1j * np.asarray(angles))) @ q.conj().T
+
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULIS = [I2.astype(complex), PAULI_X, PAULI_Y, Z.astype(complex)]
+
+
+def exact_2x2_distance(w):
+    """min(1, |mu|) of the float 2x2 W, evaluated with 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        (a, b), (c, d) = [[mpmath.mpc(z.real, z.imag) for z in row] for row in w]
+        h = (a - d) / 2
+        return float(min(1, abs(mpmath.sqrt(h * h + b * c))))
+
+
+def two_by_two_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for kind in ("random", "near-scalar", "antipodal"):
+        for _ in range(100):
+            q = haar_unitaries(rng, 1, 2)[0]
+            theta = rng.uniform(0.0, TAU)
+            if kind == "random":
+                gap = rng.uniform(0.0, TAU)
+            elif kind == "near-scalar":
+                gap = 10.0 ** rng.uniform(-14.0, -12.0)
+            else:
+                gap = math.pi
+            cases.append((kind, spectrum(q, [theta, theta + gap])))
+    cases += [("pauli", p.conj().T @ r) for p in PAULIS for r in PAULIS]
+    return cases
+
+
+class TestTwoByTwo:
+    """The explicit 2x2 closed form: t +- mu, with no eigensolve."""
+
+    def test_value_within_four_eps_of_50_digits(self):
+        eps = np.finfo(float).eps
+        worst = {}
+        for kind, w in two_by_two_cases():
+            # U = I makes the canonical W this W or its adjoint, both exact
+            err = abs(sup_distance(I2, w).value - exact_2x2_distance(w))
+            worst[kind] = max(worst.get(kind, 0.0), err)
+        assert worst.keys() == {"random", "near-scalar", "antipodal", "pauli"}
+        assert max(worst.values()) <= 4 * eps, worst
+
+    def test_maximizer_reaches_the_value(self):
+        for kind, w in two_by_two_cases():
+            res = sup_distance(I2, w)
+            assert d_psi(I2, w, res.maximizer) == pytest.approx(res.value, abs=1e-8), kind
+            rep = distinguishability(I2, w)
+            if rep.distinguishable:
+                assert rep.residual <= 1e-8, kind
+
+    @pytest.mark.parametrize("func", [sup_distance, distinguishability])
+    def test_no_eigensolve(self, func, counted_eigensolves):
+        pairs = [(haar(2, 80), haar(2, 81)), (I2, Z), (I2, np.exp(0.3j) * I2)]
+        counted_eigensolves.clear()
+        for u, v in pairs:
+            func(u, v)
+        assert counted_eigensolves == []
+
+    def test_residual_check_raises(self, monkeypatch):
+        # an eigenvalue off by 1e-6 leaves its eigenvector's residual far above EIGEN_TOL
+        from unimetric import metrics
+
+        class OffSqrt:
+            phase = staticmethod(cmath.phase)
+
+            @staticmethod
+            def sqrt(z):
+                return cmath.sqrt(z) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(metrics, "cmath", OffSqrt)
+        with pytest.raises(InternalCheckError):
+            sup_distance(haar(2, 82), haar(2, 83))
+
+
+class TestSaturatedWitnessEdges:
+    """Witnesses of arcs at and around a semicircle at n >= 3."""
+
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            [0.0, 0.0, math.pi],
+            [0.0, math.pi, math.pi, math.pi],
+            [0.4, 0.4, 0.4 + math.pi, 0.4 + math.pi, 0.4, 0.4 + math.pi],
+            [0.0, 0.0, TAU / 3, TAU / 3, 2 * TAU / 3],
+            [1.0, 1.0 + 1e-10, 1.0 + math.pi],
+        ],
+        ids=["pm1-3", "pm1-4", "antipodal-6", "repeated", "thin"],
+    )
+    def test_edge_spectra(self, angles):
+        n = len(angles)
+        u, q = haar_unitaries(np.random.default_rng([n, 90]), 2, n)
+        rep = distinguishability(u, u @ spectrum(q, angles))
+        assert rep.value == 1.0 and rep.distinguishable
+        assert rep.residual <= 1e-8
+
+    @pytest.mark.parametrize("qubits", [2, 3])
+    def test_pauli_products(self, qubits):
+        # U'V is a Pauli string up to phase: d = 0 for equal strings, else
+        # antipodal eigenvalues, each repeated 2^(qubits - 1) times
+        rng = np.random.default_rng([qubits, 91])
+        strings = [
+            functools.reduce(np.kron, [PAULIS[k] for k in row])
+            for row in rng.integers(0, 4, size=(12, qubits))
+        ]
+        for p, r in zip(strings[::2], strings[1::2]):
+            rep = distinguishability(p, r)
+            if np.array_equal(p, r):
+                assert rep.value == 0.0
+            else:
+                assert rep.value == 1.0 and rep.distinguishable
+                assert rep.residual <= 1e-8
+
+    @pytest.mark.parametrize("ulps", [-4, -2, -1, 0, 1, 2, 4])
+    def test_gap_ulps_around_pi(self, ulps):
+        # the widest gap of W's spectrum, 0 to pi + ulps * ulp(pi), reads d = 1
+        # on both sides of pi, with the semicircle witness or the chord
+        u, q = haar_unitaries(np.random.default_rng([ulps + 10, 92]), 2, 3)
+        angles = [0.0, math.pi + ulps * math.ulp(math.pi), math.pi + 1.0]
+        rep = distinguishability(u, u @ spectrum(q, angles))
+        assert rep.value == 1.0 and rep.distinguishable
+        assert rep.residual <= 1e-8
+
+
 # U'V is unitary for both pairs although neither operand is
 NON_UNITARY_PAIRS = [
     (2 * np.eye(4), 0.5 * np.eye(4)),
