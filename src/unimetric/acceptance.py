@@ -6,6 +6,11 @@ formulas against brute force) at a fixed tolerance.  The same checks
 back the library test suite and the ``selftest`` CLI command; fixed
 seeds make every run bit-reproducible.
 
+A check returns only its margins: each names a measured value, a
+comparison and the bound it is held to.  Every check runs to its end,
+so a failing run still reports every margin, and :class:`CheckResult`
+alone decides the verdict (every margin met) and renders the detail.
+
 The two optimization oracles, #4 (sup via optimization) and #11 (the
 separable grid oracle), share one numpy routine, :func:`_sphere_descent`:
 Riemannian gradient descent on a product of unit spheres with
@@ -15,7 +20,9 @@ code it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -28,15 +35,45 @@ from .linalg import haar_random_state, haar_unitaries, kron, schatten_norm, vali
 from .metrics import check_sandwich, distinguishability, sup_distance, tensor_distance
 
 TAU = 2.0 * math.pi
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class Margin:
+    """A measured value against its bound: ``measured op bound`` is met.
+
+    ``fmt`` formats both numbers; a NaN meets no bound.
+    """
+
+    label: str
+    measured: float
+    op: str
+    bound: float
+    fmt: str = ".3e"
+
+    @property
+    def met(self) -> bool:
+        return _COMPARISONS[self.op](self.measured, self.bound)
+
+    def __str__(self) -> str:
+        text = f"{self.label} = {self.measured:{self.fmt}} {self.op} {self.bound:{self.fmt}}"
+        return text if self.met else f"{text} (missed)"
 
 
 @dataclass(frozen=True)
 class CheckResult:
     index: int
     name: str
-    passed: bool
-    detail: str
+    margins: tuple[Margin, ...]
     seconds: float
+
+    @property
+    def passed(self) -> bool:
+        return all(m.met for m in self.margins)
+
+    @property
+    def detail(self) -> str:
+        return ", ".join(map(str, self.margins))
 
 
 def _rotated_spectrum_unitary(rng: np.random.Generator, angles: np.ndarray) -> np.ndarray:
@@ -44,16 +81,16 @@ def _rotated_spectrum_unitary(rng: np.random.Generator, angles: np.ndarray) -> n
     return (q * np.exp(1j * angles)) @ q.conj().T
 
 
-def _check_arc_formula(seed: int) -> tuple[bool, str]:
+def _check_arc_formula(seed: int) -> list[Margin]:
     thetas = np.arange(1, 51) / 51.0 * math.pi
     worst = 0.0
     for th in thetas:
         val = sup_distance(np.eye(2), np.diag([1.0, np.exp(1j * th)])).value
         worst = max(worst, abs(val - math.sin(th / 2.0)))
-    return worst <= 1e-12, f"max |d - sin(theta/2)| = {worst:.3e} over 50 angles in (0, pi)"
+    return [Margin("max |d - sin(theta/2)| over 50 angles in (0, pi)", worst, "<=", 1e-12)]
 
 
-def _check_semicircle_saturation(seed: int) -> tuple[bool, str]:
+def _check_semicircle_saturation(seed: int) -> list[Margin]:
     # Two eigenvalues at separation theta > pi sit on an arc of length
     # 2pi - theta < pi, so the literal pair never saturates; a middle
     # eigenvalue pins the covering arc at theta and forces d = 1.
@@ -68,16 +105,15 @@ def _check_semicircle_saturation(seed: int) -> tuple[bool, str]:
             worst_pair, abs(sup_distance(np.eye(2), pair).value - math.sin(th / 2.0))
         )
     antipodal = abs(sup_distance(np.eye(2), np.diag([1.0, -1.0 + 0j])).value - 1.0)
-    ok = worst_sat <= 1e-12 and antipodal <= 1e-12 and worst_pair <= 1e-12
-    return ok, (
-        f"saturation err {worst_sat:.3e}, antipodal err {antipodal:.3e}, "
-        f"two-point sin(theta/2) err {worst_pair:.3e}"
-    )
+    return [
+        Margin("saturation err", worst_sat, "<=", 1e-12),
+        Margin("antipodal err", antipodal, "<=", 1e-12),
+        Margin("two-point sin(theta/2) err", worst_pair, "<=", 1e-12),
+    ]
 
 
-def _check_polygon_oracle(seed: int) -> tuple[bool, str]:
+def _check_polygon_oracle(seed: int) -> list[Margin]:
     worst = 0.0
-    count = 0
     for n in (2, 3, 4, 6):
         rng = np.random.default_rng([seed, 3, n])
         for _ in range(200):
@@ -86,8 +122,7 @@ def _check_polygon_oracle(seed: int) -> tuple[bool, str]:
             poly, _ = circlegeom.polygon_distance_to_origin(u.eigen_angles)
             oracle = math.sqrt(max(0.0, 1.0 - poly * poly))
             worst = max(worst, abs(closed - oracle))
-            count += 1
-    return worst <= 1e-9, f"max |d - sqrt(1 - poly^2)| = {worst:.3e} over {count} unitaries"
+    return [Margin("max |d - sqrt(1 - poly^2)| over 800 unitaries", worst, "<=", 1e-9)]
 
 
 # safety cap on descent steps; no descent in checks 4 and 11 comes near it
@@ -173,7 +208,7 @@ def _optimized_distance(w: np.ndarray, rng: np.random.Generator) -> float:
     return math.sqrt(max(0.0, 1.0 - best))
 
 
-def _check_sup_via_optimization(seed: int) -> tuple[bool, str]:
+def _check_sup_via_optimization(seed: int) -> list[Margin]:
     rng = np.random.default_rng([seed, 4])
     worst = 0.0
     for _ in range(50):
@@ -182,10 +217,10 @@ def _check_sup_via_optimization(seed: int) -> tuple[bool, str]:
         closed = sup_distance(u, v).value
         opt = _optimized_distance(u.conj().T @ v, rng)
         worst = max(worst, abs(closed - opt))
-    return worst <= 1e-6, f"max |closed - optimized| = {worst:.3e} over 50 pairs in U(4)"
+    return [Margin("max |closed - optimized| over 50 pairs in U(4)", worst, "<=", 1e-6)]
 
 
-def _check_tensor_rule(seed: int) -> tuple[bool, str]:
+def _check_tensor_rule(seed: int) -> list[Margin]:
     rng = np.random.default_rng([seed, 5])
     worst = 0.0
     saturated = 0
@@ -206,14 +241,14 @@ def _check_tensor_rule(seed: int) -> tuple[bool, str]:
             saturated += 1
         else:
             smooth += 1
-    ok = worst <= 1e-9 and saturated >= 10 and smooth >= 10
-    return ok, (
-        f"max |rule - direct| = {worst:.3e} "
-        f"({smooth} sine-branch, {saturated} saturated trials)"
-    )
+    return [
+        Margin("max |rule - direct|", worst, "<=", 1e-9),
+        Margin("sine-branch trials", smooth, ">=", 10, "d"),
+        Margin("saturated trials", saturated, ">=", 10, "d"),
+    ]
 
 
-def _check_schatten_scaling(seed: int) -> tuple[bool, str]:
+def _check_schatten_scaling(seed: int) -> list[Margin]:
     rng = np.random.default_rng([seed, 6])
     worst = 0.0
     dims = (2, 3, 5)
@@ -226,13 +261,13 @@ def _check_schatten_scaling(seed: int) -> tuple[bool, str]:
         for p in (1.0, 2.0, 3.0):
             expected = 2.0 ** (1.0 / p) * base
             worst = max(worst, abs(schatten_norm(diff, p) - expected))
-    return worst <= 1e-9, f"max |norm - 2^(1/p) (1-|<psi|phi>|^2)^(1/2)| = {worst:.3e}"
+    return [Margin("max |norm - 2^(1/p) (1-|<psi|phi>|^2)^(1/2)|", worst, "<=", 1e-9)]
 
 
-def _check_metric_axioms(seed: int) -> tuple[bool, str]:
+def _check_metric_axioms(seed: int) -> list[Margin]:
     rng = np.random.default_rng([seed, 7])
     stack = haar_unitaries(rng, 4000, 3)
-    sym_exact = True
+    asymmetric = 0
     worst_tri = -math.inf
     worst_mono = -math.inf
     worst_proj = 0.0
@@ -240,8 +275,7 @@ def _check_metric_axioms(seed: int) -> tuple[bool, str]:
     for t in range(1000):
         u, v, w, x = stack[4 * t : 4 * t + 4]
         duv = sup_distance(u, v).value
-        if sup_distance(v, u).value != duv:
-            sym_exact = False
+        asymmetric += sup_distance(v, u).value != duv
         duw = sup_distance(u, w).value
         dvw = sup_distance(v, w).value
         worst_tri = max(worst_tri, duv - (duw + dvw))
@@ -255,18 +289,13 @@ def _check_metric_axioms(seed: int) -> tuple[bool, str]:
             abs(sup_distance(x @ u, x @ v).value - duv),
             abs(sup_distance(u @ x, v @ x).value - duv),
         )
-    ok = (
-        sym_exact
-        and worst_tri <= 1e-9
-        and worst_mono <= 1e-9
-        and worst_proj <= 1e-9
-        and worst_bi <= 1e-9
-    )
-    return ok, (
-        f"symmetry exact: {sym_exact}, triangle slack {worst_tri:.3e}, "
-        f"product slack {worst_mono:.3e}, projective {worst_proj:.3e}, "
-        f"bi-invariance {worst_bi:.3e} over 1000 triples in U(3)"
-    )
+    return [
+        Margin("pairs with d(u, v) != d(v, u) over 1000 triples in U(3)", asymmetric, "<=", 0, "d"),
+        Margin("triangle slack", worst_tri, "<=", 1e-9),
+        Margin("product slack", worst_mono, "<=", 1e-9),
+        Margin("projective", worst_proj, "<=", 1e-9),
+        Margin("bi-invariance", worst_bi, "<=", 1e-9),
+    ]
 
 
 def _angles_with_wide_arc(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -277,18 +306,20 @@ def _angles_with_wide_arc(rng: np.random.Generator, n: int) -> np.ndarray:
             return angles
 
 
-def _check_distinguishability(seed: int) -> tuple[bool, str]:
+def _check_distinguishability(seed: int) -> list[Margin]:
     rng = np.random.default_rng([seed, 8])
     worst_resid = 0.0
     worst_bound = 0.0
+    missed_wide = missed_narrow = 0
     for _ in range(50):
         angles = _angles_with_wide_arc(rng, 4)
         u = haar_unitaries(rng, 1, 4)[0]
         v = u @ _rotated_spectrum_unitary(rng, angles)
         rep = distinguishability(u, v)
-        if not rep.distinguishable:
-            return False, "engineered wide-arc pair reported indistinguishable"
-        worst_resid = max(worst_resid, rep.residual)
+        if rep.distinguishable:
+            worst_resid = max(worst_resid, rep.residual)
+        else:
+            missed_wide += 1
     for _ in range(50):
         width = rng.uniform(0.2, math.pi - 0.15)
         interior = rng.uniform(0.05, 0.95, 2) * width
@@ -297,35 +328,35 @@ def _check_distinguishability(seed: int) -> tuple[bool, str]:
         v = u @ _rotated_spectrum_unitary(rng, angles)
         rep = distinguishability(u, v)
         if rep.distinguishable:
-            return False, "narrow-arc pair reported distinguishable"
-        worst_bound = max(worst_bound, abs(rep.min_overlap_bound - math.cos(width / 2.0)))
-    ok = worst_resid <= 1e-8 and worst_bound <= 1e-10
-    return ok, (
-        f"witness residual {worst_resid:.3e} (50 wide arcs), "
-        f"bound error {worst_bound:.3e} (50 narrow arcs)"
-    )
+            missed_narrow += 1
+        else:
+            worst_bound = max(worst_bound, abs(rep.min_overlap_bound - math.cos(width / 2.0)))
+    return [
+        Margin("wide arcs read as indistinguishable", missed_wide, "<=", 0, "d"),
+        Margin("narrow arcs read as distinguishable", missed_narrow, "<=", 0, "d"),
+        Margin("witness residual over 50 wide arcs", worst_resid, "<=", 1e-8),
+        Margin("bound error over 50 narrow arcs", worst_bound, "<=", 1e-10),
+    ]
 
 
-def _check_pauli_dichotomy(seed: int) -> tuple[bool, str]:
+def _check_pauli_dichotomy(seed: int) -> list[Margin]:
     ident = pauli.PauliElement.identity(2)
     eye4 = np.eye(4)
     worst = 0.0
-    count = 0
-    for p1 in range(4):
-        for l1 in "IXYZ":
-            for p2 in range(4):
-                for l2 in "IXYZ":
-                    g = pauli.pauli_product(
-                        pauli.PauliElement.from_letters(l1 + "I", p1),
-                        pauli.PauliElement.from_letters("I" + l2, p2),
-                    )
-                    dist = pauli.pauli_distance(ident, g)
-                    if dist not in (0.0, 1.0):
-                        return False, f"non-dichotomous value {dist!r} for {g}"
-                    dense = sup_distance(eye4, g.to_matrix()).value
-                    worst = max(worst, abs(dist - dense))
-                    count += 1
-    return worst <= 1e-10, f"max |combinatorial - dense| = {worst:.3e} over {count} elements"
+    other = 0
+    for p1, l1, p2, l2 in itertools.product(range(4), "IXYZ", range(4), "IXYZ"):
+        g = pauli.pauli_product(
+            pauli.PauliElement.from_letters(l1 + "I", p1),
+            pauli.PauliElement.from_letters("I" + l2, p2),
+        )
+        dist = pauli.pauli_distance(ident, g)
+        other += dist not in (0.0, 1.0)
+        dense = sup_distance(eye4, g.to_matrix()).value
+        worst = max(worst, abs(dist - dense))
+    return [
+        Margin("values other than 0 and 1 over 256 elements", other, "<=", 0, "d"),
+        Margin("max |combinatorial - dense|", worst, "<=", 1e-10),
+    ]
 
 
 _BELL = np.array(
@@ -339,45 +370,32 @@ _BELL = np.array(
 ).T / math.sqrt(2.0)
 
 
-def _check_stabilizer_faces(seed: int) -> tuple[bool, str]:
+def _check_stabilizer_faces(seed: int) -> list[Margin]:
     dec = pauli.stabilizer_subspace(pauli.PauliSubgroup.from_generators(["+ZZ", "+XX"]))
-    if not dec.abelian or len(dec.faces) != 4:
-        return False, f"expected 4 abelian faces, got {len(dec.faces)}"
-    worst_fid = 1.0
-    used = set()
+    zz, xx = pauli.parse_pauli("+ZZ"), pauli.parse_pauli("+XX")
+    # ZZ^a XX^b for each pair of exponents, the whole group
+    group = {(0, 0): pauli.PauliElement.identity(2), (0, 1): xx, (1, 0): zz}
+    group[1, 1] = pauli.pauli_product(zz, xx)
+    worst_fid, worst_mult, used = 1.0, 0.0, set()
     for f in dec.faces:
-        if f.face.dim != 1:
-            return False, "face is not one-dimensional"
         vec = f.face.basis[:, 0]
         fids = np.abs(_BELL.conj().T @ vec) ** 2
-        j = int(np.argmax(fids))
-        used.add(j)
-        worst_fid = min(worst_fid, float(fids[j]))
-    # character multiplicativity over the whole group on each face
-    gens = [pauli.parse_pauli("+ZZ"), pauli.parse_pauli("+XX")]
-    worst_mult = 0.0
-    for f in dec.faces:
-        vec = f.face.basis[:, 0]
-        for a in range(2):
-            for b in range(2):
-                g = gens[0] if a else pauli.PauliElement.identity(2)
-                if b:
-                    g = pauli.pauli_product(g, gens[1])
-                expected = (f.characters[0] ** a) * (f.characters[1] ** b)
-                acted = g.to_matrix() @ vec
-                worst_mult = max(worst_mult, float(np.abs(acted - expected * vec).max()))
+        used.add(int(np.argmax(fids)))
+        worst_fid = min(worst_fid, float(fids.max()))
+        # character multiplicativity over the whole group on each face
+        for (a, b), g in group.items():
+            expected = (f.characters[0] ** a) * (f.characters[1] ** b)
+            worst_mult = max(worst_mult, float(np.abs(g.to_matrix() @ vec - expected * vec).max()))
     nonab = pauli.stabilizer_subspace(pauli.PauliSubgroup.from_generators(["+X", "+Z"]))
-    ok = (
-        len(used) == 4
-        and worst_fid >= 1.0 - 1e-10
-        and worst_mult <= 1e-10
-        and not nonab.abelian
-        and len(nonab.faces) == 0
-    )
-    return ok, (
-        f"Bell fidelity >= {worst_fid:.12f}, multiplicativity err {worst_mult:.3e}, "
-        f"non-abelian case empty: {len(nonab.faces) == 0}"
-    )
+    return [
+        Margin("misread abelian flags", (not dec.abelian) + nonab.abelian, "<=", 0, "d"),
+        Margin("|faces of <ZZ, XX> - 4|", abs(len(dec.faces) - 4), "<=", 0, "d"),
+        Margin("faces not one-dimensional", sum(f.face.dim != 1 for f in dec.faces), "<=", 0, "d"),
+        Margin("Bell states matched", len(used), ">=", 4, "d"),
+        Margin("Bell fidelity", worst_fid, ">=", 1.0 - 1e-10, ".12f"),
+        Margin("multiplicativity err", worst_mult, "<=", 1e-10),
+        Margin("faces of non-abelian <X, Z>", len(nonab.faces), "<=", 0, "d"),
+    ]
 
 
 def _product_state_grid(n_t: int = 22, n_phi: int = 46) -> np.ndarray:
@@ -415,12 +433,10 @@ def _polished_grid_oracle(w: np.ndarray) -> float:
     return math.sqrt(_sphere_descent(grad, np.array([a0, b0])))
 
 
-def _check_separable(seed: int) -> tuple[bool, str]:
+def _check_separable(seed: int) -> list[Margin]:
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     prob = subsets.SeparableProblem(dim_a=2, dim_b=2, restarts=16, seed=seed)
     swap_err = abs(subsets.separable_distance(np.eye(4), swap, prob).value - 1.0)
-    if swap_err > 1e-6:
-        return False, f"separable distance to SWAP off by {swap_err:.3e}"
 
     rng = np.random.default_rng([seed, 11])
     prob_small = subsets.SeparableProblem(dim_a=2, dim_b=2, restarts=12, seed=seed + 1)
@@ -438,10 +454,6 @@ def _check_separable(seed: int) -> tuple[bool, str]:
         m2, _ = circlegeom.polygon_distance_to_origin(z.eigen_angles)
         closed = math.sqrt(max(0.0, 1.0 - (m1 * m2) ** 2))
         worst_factor = max(worst_factor, abs(opt - closed))
-    if worst_oracle > 2e-3 or worst_factor > 2e-3:
-        return False, (
-            f"grid-oracle gap {worst_oracle:.3e}, factor-formula gap {worst_factor:.3e}"
-        )
 
     min_positive = math.inf
     evaluated = 0
@@ -450,17 +462,18 @@ def _check_separable(seed: int) -> tuple[bool, str]:
         # non-scalar check: distance of u from the nearest phase of identity
         if sup_distance(np.eye(4), u).value < 1e-3:
             continue
-        val = subsets.separable_distance(np.eye(4), u, prob_small).value
-        min_positive = min(min_positive, val)
+        min_positive = min(min_positive, subsets.separable_distance(np.eye(4), u, prob_small).value)
         evaluated += 1
-    ok = evaluated >= 15 and min_positive > 1e-3
-    return ok, (
-        f"SWAP err {swap_err:.3e}, grid-oracle gap {worst_oracle:.3e}, "
-        f"factor gap {worst_factor:.3e}, min positivity {min_positive:.3e}"
-    )
+    return [
+        Margin("SWAP err", swap_err, "<=", 1e-6),
+        Margin("grid-oracle gap", worst_oracle, "<=", 2e-3),
+        Margin("factor gap", worst_factor, "<=", 2e-3),
+        Margin("non-scalar unitaries evaluated", evaluated, ">=", 15, "d"),
+        Margin("min positivity", min_positive, ">", 1e-3),
+    ]
 
 
-def _check_search_closed_form(seed: int) -> tuple[bool, str]:
+def _check_search_closed_form(seed: int) -> list[Margin]:
     rng = np.random.default_rng([seed, 12])
     worst = 0.0
     for _ in range(100):
@@ -478,17 +491,18 @@ def _check_search_closed_form(seed: int) -> tuple[bool, str]:
     )
     p20 = search.SearchProblem.from_size(2**20)
     k, achieved = search.minimal_k(p20, 0.1)
-    bound = math.ceil((math.pi / 2) * math.sqrt(2**20))
-    ok = worst <= 1e-10 and exact <= 1e-12 and k <= bound and achieved <= 0.1
-    return ok, (
-        f"max |d - cos(a+kg)| = {worst:.3e} over 100 draws, exact case {exact:.3e}, "
-        f"minimal k = {k} <= {bound} at achieved {achieved:.4f} for N = 2^20"
-    )
+    return [
+        Margin("max |d - cos(a+kg)| over 100 draws", worst, "<=", 1e-10),
+        Margin("exact case", exact, "<=", 1e-12),
+        Margin("minimal k for N = 2^20", k, "<=", math.ceil((math.pi / 2) * math.sqrt(2**20)), "d"),
+        Margin("achieved d", achieved, "<=", 0.1, ".4f"),
+    ]
 
 
-def _check_sandwich_inequality(seed: int) -> tuple[bool, str]:
+def _check_sandwich_inequality(seed: int) -> list[Margin]:
     rng = np.random.default_rng([seed, 13])
     worst = -math.inf
+    rejected = 0
     for n in (2, 3, 4, 5, 6):
         us = haar_unitaries(rng, 2000, n)
         vs = haar_unitaries(rng, 2000, n)
@@ -496,12 +510,14 @@ def _check_sandwich_inequality(seed: int) -> tuple[bool, str]:
             psi = haar_random_state(n, rng)
             b = check_sandwich(us[t], vs[t], psi)
             worst = max(worst, b.lower - b.mid, b.mid - b.upper)
-            if not b.holds:
-                return False, f"sandwich violated by {worst:.3e}"
-    return worst <= 1e-10, f"max violation {worst:.3e} over 10^4 triples in dims 2..6"
+            rejected += not b.holds
+    return [
+        Margin("triples check_sandwich rejects", rejected, "<=", 0, "d"),
+        Margin("max violation over 10^4 triples in dims 2..6", worst, "<=", 1e-10),
+    ]
 
 
-_CHECKS: list[tuple[str, Callable]] = [
+_CHECKS: list[tuple[str, Callable[[int], list[Margin]]]] = [
     ("arc formula exactness", _check_arc_formula),
     ("semicircle saturation", _check_semicircle_saturation),
     ("polygon oracle equivalence", _check_polygon_oracle),
@@ -523,30 +539,25 @@ def check_names() -> list[str]:
 
 
 def run_checks(indices: list[int] | None = None, seed: int = 0) -> list[CheckResult]:
-    """Run the numbered checks (1-based).
+    """Run the numbered checks (1-based), all of them when ``indices`` is None.
 
     Raises
     ------
     OutOfRangeError
-        If the seed is negative.
+        If the seed is negative, or an index lies outside 1..13.
     """
     if seed < 0:
         raise OutOfRangeError("seed must be nonnegative")
-    chosen = indices or list(range(1, len(_CHECKS) + 1))
+    chosen = range(1, len(_CHECKS) + 1) if indices is None else indices
+    bad = [idx for idx in chosen if not 1 <= idx <= len(_CHECKS)]
+    if bad:
+        raise OutOfRangeError(f"check indices must lie in 1..{len(_CHECKS)}, got {bad}")
     results = []
     for idx in chosen:
         name, fn = _CHECKS[idx - 1]
         start = time.perf_counter()
-        passed, detail = fn(seed)
-        results.append(
-            CheckResult(
-                index=idx,
-                name=name,
-                passed=passed,
-                detail=detail,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        margins = tuple(fn(seed))
+        results.append(CheckResult(idx, name, margins, time.perf_counter() - start))
     return results
 
 

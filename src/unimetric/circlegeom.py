@@ -7,17 +7,19 @@ Three operations drive the closed-form unitary metric:
   no angles merge, so the arc is monotone and continuous in them.
 * :func:`distance_from_arc` is the closed form itself: sin(alpha/2) for
   arcs shorter than a semicircle, 1 once a semicircle is covered.
-* :func:`saturated_witness` gives the closed form its witness once a
-  semicircle is covered: three points around the widest gap whose
-  convex combination is 0, weighted by the three-sine identity.
+* :func:`arc_witness` gives every witness built from an eigenvalue arc,
+  the closed form's and the numerical range's for a multiple of a
+  unitary: weights 1/2 on the arc's ends below a semicircle, else three
+  points around the widest gap whose convex combination is 0, weighted
+  by the three-sine identity.
 
 :func:`polygon_distance_to_origin` measures the distance from 0 to the
 convex hull of the points exp(i*theta) with plain 2-d segment geometry,
 independently of the arc formula, so the identity dist = cos(alpha/2)
 (0 once alpha >= pi) is a cross-check between two genuinely different
-code paths; the closed form does not call it.  Its witness comes from
-:func:`polygon_exit`, the convex-polygon routine that the numerical
-range's witnesses share.
+code paths; no witness of the library calls it, so it is left as the
+oracle.  Its witness comes from :func:`polygon_exit`, which also picks
+the support states of the numerical range's zero witness.
 
 All functions are pure and thread-safe.
 """
@@ -166,14 +168,17 @@ def polygon_distance_to_origin(angles) -> tuple[float, WitnessWeights]:
     return dist, WitnessWeights(support=(k, k1), weights=_freeze(np.array([1.0 - t, t])))
 
 
-def saturated_witness(arc: SpectralArc) -> WitnessWeights:
-    """Convex weights on at most three vertices whose combination is 0,
-    for an arc that covers a semicircle (alpha >= pi).
+def arc_witness(arc: SpectralArc) -> WitnessWeights:
+    """Convex weights on at most three vertices whose combination is the
+    point of the vertices' convex hull nearest 0.
 
-    Every gap is then at most pi.  The widest runs from b = angles[end]
-    to c = angles[start], and the anchor a is the vertex nearest the
-    middle of the covering arc, found by bisection; so a + pi lies in
-    that gap and 0 lies in the triangle (a, b, c).  The identity
+    For an arc shorter than a semicircle (alpha < pi) that point is the
+    midpoint of the chord between the arc's ends, weights 1/2 on
+    angles[start] and angles[end].  Once alpha >= pi it is 0, and every
+    gap is at most pi.  The widest then runs from b = angles[end] to
+    c = angles[start], and the anchor a is the vertex nearest the middle
+    of the covering arc, found by bisection; so a + pi lies in that gap
+    and 0 lies in the triangle (a, b, c).  The identity
     sin(c - b) e^{ia} + sin(a - c) e^{ib} + sin(b - a) e^{ic} = 0 gives
     the weights, each sine clamped at 0 against rounding: b and c share
     1 - s as sin(a - c) : sin(b - a), which puts their combination q on
@@ -184,6 +189,8 @@ def saturated_witness(arc: SpectralArc) -> WitnessWeights:
     (the anchor repeats b or c, or the triangle is flat), the weights
     are 1/2 on b and c.
     """
+    if arc.alpha < math.pi:
+        return WitnessWeights(support=(arc.start, arc.end), weights=_freeze(np.array([0.5, 0.5])))
     angles = arc.angles.tolist()
     n = len(angles)
     b, c = angles[arc.end], angles[arc.start]

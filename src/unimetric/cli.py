@@ -48,6 +48,15 @@ class _CliError(Exception):
         super().__init__(message)
 
 
+# library errors to exit codes, first match wins; a _CliError carries its own code
+_EXIT_CODES = (
+    ((DimensionMismatchError, LengthMismatchError, NotSquareError), _EXIT_DIMENSION),
+    (NotUnitaryError, _EXIT_NOT_UNITARY),
+    (PauliParseError, _EXIT_PARSE),
+    (UnimetricError, _EXIT_OTHER),
+)
+
+
 def _default_seed() -> int:
     try:
         return int(os.environ["UNIMETRIC_SEED"])
@@ -224,11 +233,13 @@ def _cmd_selftest(args) -> int:
     from . import acceptance
 
     indices = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             indices = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
         except ValueError as exc:
             raise _CliError(_EXIT_PARSE, f"--criteria expects integers: {exc}") from exc
+        if not indices:
+            raise _CliError(_EXIT_PARSE, "--criteria is empty")
         bad = [i for i in indices if not 1 <= i <= len(acceptance.check_names())]
         if bad:
             raise _CliError(_EXIT_PARSE, f"unknown criteria {bad}")
@@ -340,21 +351,11 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return _cmd_selftest(args)
         payload, text = _COMMANDS[args.command](args)
-    except _CliError as exc:
+    except (_CliError, UnimetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (DimensionMismatchError, LengthMismatchError, NotSquareError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DIMENSION
-    except NotUnitaryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NOT_UNITARY
-    except PauliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_PARSE
-    except UnimetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_OTHER
+        if isinstance(exc, _CliError):
+            return exc.code
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     rendered = json.dumps(payload, indent=2) if args.format == "json" else text
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -306,10 +306,6 @@ def schatten_norm(m, p: float) -> float:
     sv = np.linalg.svd(a, compute_uv=False)
     if p == math.inf:
         return float(sv.max())
-    if p == 1.0:
-        return float(sv.sum())
-    if p == 2.0:
-        return float(np.sqrt(np.sum(sv * sv)))
     return float(np.sum(sv**p) ** (1.0 / p))
 
 

@@ -11,9 +11,9 @@ arc of U'V is no longer than the rounding of its angles.
 At n = 2 the formula is explicit and needs no eigensolve: the
 eigenvalues of W are tr(W)/2 +- mu, so d = |mu|, and the adjugate of
 W - lambda I gives the eigenvectors and so the maximizer.  From n = 3
-W is eigensolved once; a saturated arc (alpha >= pi) takes its witness
-from three eigenvalues whose convex combination is 0
-(:func:`circlegeom.saturated_witness`).
+W is eigensolved once, and :func:`circlegeom.arc_witness` weights the
+eigenvectors: the arc's two ends, or, once the arc is saturated
+(alpha >= pi), three eigenvalues whose convex combination is 0.
 
 Per-state pseudometrics (:func:`d_psi`, :func:`d_rho`), the Schatten-p
 rescaling, and the tensor composition rule live here too.
@@ -200,8 +200,9 @@ def _closed_form(
     explicit formulas of :func:`_closed_form_2x2`.  A larger W is
     eigensolved once and not re-judged at the operands' unitarity
     tolerance; its angles are sorted in [0, 2pi), so the arc's indices
-    address its eigenvectors, and an arc covering a semicircle takes the
-    three-vertex witness of :func:`circlegeom.saturated_witness`.
+    address its eigenvectors, which :func:`circlegeom.arc_witness`
+    weights: the arc's two ends, or three vertices once it covers a
+    semicircle.
     """
     mu, mv = _pair_matrices(u, v)
     swapped = mv.tobytes() < mu.tobytes()
@@ -214,12 +215,8 @@ def _closed_form(
         wop = decompose_unitary(w)
         arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
         value = circlegeom.distance_from_arc(arc)
-        if arc.alpha >= math.pi:
-            witness = circlegeom.saturated_witness(arc)
-            support, weights = list(witness.support), witness.weights
-        else:
-            support, weights = [arc.start, arc.end], np.array([0.5, 0.5])
-        psi = wop.eigen_vectors[:, support] @ np.sqrt(weights)
+        witness = circlegeom.arc_witness(arc)
+        psi = wop.eigen_vectors[:, list(witness.support)] @ np.sqrt(witness.weights)
         psi = psi / np.linalg.norm(psi)
     if arc.alpha <= ROUNDING_ARC_ULPS * n * math.ulp(TAU):
         value = 0.0

@@ -67,9 +67,11 @@ on at most one arc, and there g'' <= -g < 0.
   the polygon of its eigenvalues (the normality property of the field
   of values: Horn and Johnson, Topics in Matrix Analysis, 1991, sec.
   1.2).  The eigenvectors v_k come from linalg.decompose_unitary on the
-  polar step of M / sqrt(c), and circlegeom.polygon_distance_to_origin
-  puts convex weights w_k on the eigenvalues: the polygon's point
-  nearest 0, or 0 itself.  The witness is sum_k sqrt(w_k) v_k, and the
+  polar step of M / sqrt(c), and circlegeom.arc_witness, the closed
+  form's own rule, puts convex weights w_k on the eigenvalues: 1/2 on
+  the ends of their arc, whose chord's midpoint is the polygon's point
+  nearest 0, or three vertices around 0 once the arc covers a
+  semicircle.  The witness is sum_k sqrt(w_k) v_k, and the
   distance is |<x|M|x>|.  The invariant faces of a unitary and the
   factors of a Kronecker product take this path, with no bracket.
 * Scale: for every n >= 2 the solve runs on M / 2^e with max |m_ij| < 2^e.
@@ -93,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circlegeom import polygon_distance_to_origin, polygon_exit
+from .circlegeom import arc_witness, polygon_exit, smallest_covering_arc
 from .errors import NotSquareError, NumericalRangeError
 from .linalg import (
     _hermitian_parts,
@@ -339,8 +341,8 @@ def _scaled_unitary_witness(m: np.ndarray) -> np.ndarray | None:
     unitary, c = tr(M'M)/n, to max |M'M - c I| <= 1e-13 c; else None.
 
     F(M) is then the convex hull of M's eigenvalues, and the convex
-    weights w_k that circlegeom.polygon_distance_to_origin puts on
-    eigenvalues lambda_k, the nearest point or a zero, are reached by
+    weights w_k that circlegeom.arc_witness puts on eigenvalues
+    lambda_k, the nearest point or a zero, are reached by
     sum_k sqrt(w_k) v_k over the eigenvectors v_k.
     """
     n = m.shape[0]
@@ -351,8 +353,8 @@ def _scaled_unitary_witness(m: np.ndarray) -> np.ndarray | None:
     # the polar step's eigenvectors are exact to second order in A's
     # deviation from unitary, A's own only to first order over H1's gaps
     u = decompose_unitary(_polar_step(m / math.sqrt(c)))
-    _, weights = polygon_distance_to_origin(u.eigen_angles)
-    return u.eigen_vectors[:, list(weights.support)] @ np.sqrt(weights.weights)
+    witness = arc_witness(smallest_covering_arc(u.eigen_angles))
+    return u.eigen_vectors[:, list(witness.support)] @ np.sqrt(witness.weights)
 
 
 def _solve(m: np.ndarray, zero_tol: float) -> tuple[float, np.ndarray]:

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from unimetric.circlegeom import (
     angle_runs,
+    arc_witness,
     distance_from_arc,
     polygon_csv,
     polygon_distance_to_origin,
-    saturated_witness,
     smallest_covering_arc,
 )
 from unimetric.errors import EmptyInputError, MalformedInputError
@@ -246,7 +246,7 @@ class TestSaturatedWitness:
     def test_edge_spectra(self, angles):
         arc = smallest_covering_arc(angles)
         assert arc.alpha >= math.pi
-        wit = saturated_witness(arc)
+        wit = arc_witness(arc)
         assert np.all(wit.weights >= 0)
         assert abs(wit.weights.sum() - 1.0) <= 1e-15
         assert len(set(wit.support)) == len(wit.support)
@@ -259,7 +259,7 @@ class TestSaturatedWitness:
         for third in (1.5 * math.pi, math.pi + 1e-9, TAU - 1e-9):
             arc = smallest_covering_arc([0.0, math.pi + ulps * ULP_PI, third])
             assert arc.alpha >= math.pi
-            wit = saturated_witness(arc)
+            wit = arc_witness(arc)
             assert np.all(wit.weights >= 0)
             assert abs(wit.combination(arc.angles)) <= 1e-15
 
@@ -271,7 +271,7 @@ class TestSaturatedWitness:
     )
     def test_combination_is_zero(self, angles):
         arc = smallest_covering_arc(angles)
-        wit = saturated_witness(arc)
+        wit = arc_witness(arc)
         assert np.all(wit.weights >= 0)
         assert abs(wit.weights.sum() - 1.0) <= 1e-15
         assert abs(wit.combination(arc.angles)) <= 1e-14
@@ -280,8 +280,23 @@ class TestSaturatedWitness:
         # the arc runs from pi to 2pi; 3pi/2 + 0.1 is nearest its middle
         angles = [0.0, math.pi, math.pi + 0.3, 1.5 * math.pi + 0.1, TAU - 0.2]
         arc = smallest_covering_arc(angles)
-        wit = saturated_witness(arc)
+        wit = arc_witness(arc)
         assert wit.support == (3, arc.end, arc.start)
+
+
+class TestArcWitness:
+    """Below a semicircle the witness is the midpoint of the arc's chord."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=TAU), min_size=1, max_size=16))
+    def test_nearest_point_of_the_polygon(self, angles):
+        arc = smallest_covering_arc(angles)
+        wit = arc_witness(arc)
+        poly, _ = polygon_distance_to_origin(arc)
+        assert abs(abs(wit.combination(arc.angles)) - poly) <= 1e-14
+        if arc.alpha < math.pi:
+            assert wit.support == (arc.start, arc.end)
+            assert wit.weights.tolist() == [0.5, 0.5]
 
 
 class TestPolygonCsv:

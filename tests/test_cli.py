@@ -253,12 +253,14 @@ class TestSelftest:
     def test_corrupt_hook_fails(self, capsys, monkeypatch):
         from unimetric import acceptance
 
-        failing = ("arc formula exactness", lambda seed: (False, "forced failure"))
+        forced = acceptance.Margin("forced failure", 1.0, "<=", 0.0)
+        failing = ("arc formula exactness", lambda seed: [forced])
         monkeypatch.setattr(acceptance, "_CHECKS", [failing, *acceptance._CHECKS[1:]])
         code = cli.main(["selftest", "--criteria", "1"])
         out = capsys.readouterr().out
         assert code == 1
         assert "[FAIL]" in out
+        assert "forced failure = 1.000e+00 <= 0.000e+00 (missed)" in out
 
     def test_reports_timing(self, capsys):
         cli.main(["selftest", "--criteria", "1"])
@@ -371,8 +373,9 @@ def test_nine_qubit_stabilizer_exits_5_without_traceback():
         ["sep-dist", "I4", "swap", "--dims", "2x2"],
         ["stabilizer", "--gens", ","],
         ["selftest", "--criteria", "a"],
+        ["selftest", "--criteria", ","],
     ],
-    ids=["dims", "gens", "criteria"],
+    ids=["dims", "gens", "criteria", "empty-criteria"],
 )
 def test_malformed_arguments_exit_2(argv, matrix_files, capsys):
     argv = [matrix_files.get(tok, tok) for tok in argv]

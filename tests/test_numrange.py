@@ -526,8 +526,8 @@ class TestWitnessGuard:
         monkeypatch.setattr(numrange, "_solve", lambda *args: solves.append(1))
         monkeypatch.setattr(
             numrange,
-            "polygon_distance_to_origin",
-            lambda angles: (0.0, WitnessWeights(support=(0, 1), weights=np.full(2, math.nan))),
+            "arc_witness",
+            lambda arc: WitnessWeights(support=(0, 1), weights=np.full(2, math.nan)),
         )
         with pytest.raises(NumericalRangeError):
             numrange_origin_distance(np.diag([1.0, 1j, -1.0, -1j]))

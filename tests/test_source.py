@@ -102,3 +102,16 @@ def test_private_names_are_used():
         if not used:
             unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def test_acceptance_checks_return_once_at_their_end():
+    # no check exits early, so a failing run still reports every margin
+    tree = ast.parse((ROOT / "src" / "unimetric" / "acceptance.py").read_text(encoding="utf-8"))
+    checks = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")
+    ]
+    assert len(checks) == 13
+    for fn in checks:
+        returns = [node for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        assert returns == [fn.body[-1]], fn.name
