@@ -18,6 +18,15 @@ K_phi = sin(phi) H1 + cos(phi) H2 = -dA_phi/dphi and the eigenpairs
 so one Hermitian eigensolve gives g and both derivatives.  g is positive
 on at most one arc, and there g'' <= -g < 0.
 
+* Principal pairs, n >= 3, unless M is a multiple of a unitary (below):
+  the range of a principal compression M[{j,k},{j,k}] is a filled
+  ellipse inside F(M), and whether it holds 0 is decided exactly on the
+  Bloch sphere (see n = 2 below).  Its points lie within
+  (|m_jk| + |m_kj|)/2 of the chord [m_jj, m_kk], so only the pairs whose
+  chord lies that close to 0 can hold it; they are tried nearest first,
+  at most n of them.  The first that holds 0 gives the zero witness on
+  e_j, e_k, if its residual meets the zero rule below, with no bracket
+  and no eigensolve.  Otherwise the bracket runs.
 * Bracket: one batched eigensolve over 32 angles in [0, pi) gives g at
   64 angles of the whole circle, because
   lambda_min(A_{phi+pi}) = -lambda_max(A_phi).  |g'| is at most the
@@ -158,16 +167,12 @@ def _evaluate(h1: np.ndarray, h2: np.ndarray, phi: float) -> _Point:
     return _point(phi, vals, vecs, _kphi(h1, h2, phi))
 
 
-def _chord_point(a: _Point, b: _Point) -> complex:
-    """Point of the segment [a.z, b.z] nearest 0.
-
-    Both ends lie in F, so their convex hull does, and its distance from
-    0 bounds every value of g from above.
-    """
-    d = b.z - a.z
+def _segment_point(p: complex, q: complex) -> complex:
+    """Point of the segment [p, q] nearest 0."""
+    d = q - p
     dd = abs(d) ** 2
-    t = 0.0 if dd == 0.0 else min(1.0, max(0.0, -(d.conjugate() * a.z).real / dd))
-    return a.z + t * d
+    t = 0.0 if dd == 0.0 else min(1.0, max(0.0, -(d.conjugate() * p).real / dd))
+    return p + t * d
 
 
 def _next_angle(x: _Point, a: _Point, b: _Point, chord: complex) -> float:
@@ -195,7 +200,9 @@ def _refine(
     upper = math.inf
     for _ in range(_NEWTON_STEPS):
         width = b.phi - a.phi
-        chord = _chord_point(a, b)
+        # both ends lie in F, so the chord between them does, and its
+        # distance from 0 bounds every value of g from above
+        chord = _segment_point(a.z, b.z)
         upper = min(upper, abs(chord))
         if upper - best.g <= tol or upper <= zero_tol:
             break
@@ -232,22 +239,31 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
-    """Unit x with x' C x = 0 for a 2x2 matrix whose range contains 0, or
-    with x' C x the point of the range nearest 0 when it does not.
+class _BlochFrame(NamedTuple):
+    """Zero set of a 2x2 form in Bloch coordinates (see
+    :func:`_quadratic_form_zero_2x2`): s1 y1 = r1 and s2 y2 = r2 for the
+    Bloch vector y1 v1 + y2 v2 + y3 v3, with ``axes`` = (v1, v2, v3)."""
 
-    In Bloch coordinates both Hermitian parts are affine:
-    x'Hx = h0 + h.n with n the Bloch vector, so the zero set is the
-    intersection of two planes with the unit sphere.  Rotating the two
-    equations gives orthogonal normals g1, g2 with |g1| = s1 >= |g2| = s2,
-    and in the frame v1 = g1/s1, v2, v3 = v1 x v2 they read s1 y1 = r1,
-    s2 y2 = r2: solved exactly when y1^2 + y2^2 <= 1, else projected onto
-    the ellipse {(s1 y1, s2 y2) : |y| = 1} by Newton on the multiplier mu
-    of y_i = s_i r_i / (s_i^2 + mu).  Parallel planes (s2 = 0, or 0 up to
-    rounding) need no threshold.  Plain floats: at this size numpy costs
-    more than the arithmetic.
-    """
-    (c00, c01), (c10, c11) = c.tolist()
+    s1: float
+    s2: float
+    r1: float
+    r2: float
+    axes: tuple
+
+    def point(self, mu: float) -> tuple[float, float]:
+        """(y1, y2) = (s1 r1 / (s1^2 + mu), s2 r2 / (s2^2 + mu)); at mu = 0
+        the zero, which lies on the sphere when y1^2 + y2^2 <= 1."""
+        y1 = self.s1 * self.r1 / (self.s1 * self.s1 + mu)
+        y2 = self.s2 * self.r2 / (self.s2 * self.s2 + mu) if self.s2 > 0.0 else 0.0
+        return y1, y2
+
+    def state(self, y1: float, y2: float) -> np.ndarray:
+        y3 = math.sqrt(max(0.0, 1.0 - y1 * y1 - y2 * y2))
+        return _bloch_state([y1 * p + y2 * q + y3 * r for p, q, r in zip(*self.axes)])
+
+
+def _bloch_frame(c00: complex, c01: complex, c10: complex, c11: complex) -> _BlochFrame | None:
+    """The frame of the 2x2 form with these entries; None when it is scalar."""
     # H = (C + C')/2 and K = (C - C')/2i from the entries of C
     sym, skew = c01 + c10.conjugate(), c01 - c10.conjugate()
     h0, k0 = (c00.real + c11.real) / 2, (c00.imag + c11.imag) / 2
@@ -260,8 +276,7 @@ def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
     r1, r2 = -(cw * h0 + sw * k0), sw * h0 - cw * k0
     s1 = math.sqrt(_dot(g1, g1))
     if s1 == 0.0:
-        # C is scalar: every state has the same form value
-        return np.array([1.0, 0.0], dtype=complex)
+        return None
     v1 = [x / s1 for x in g1]
     v2 = g2
     # twice: one pass leaves v2 far from orthogonal when g2 nearly lies along v1
@@ -279,10 +294,33 @@ def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
         v1[2] * v2[0] - v1[0] * v2[2],
         v1[0] * v2[1] - v1[1] * v2[0],
     )
+    return _BlochFrame(s1, s2, r1, r2, (v1, v2, v3))
+
+
+def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
+    """Unit x with x' C x = 0 for a 2x2 matrix whose range contains 0, or
+    with x' C x the point of the range nearest 0 when it does not.
+
+    In Bloch coordinates both Hermitian parts are affine:
+    x'Hx = h0 + h.n with n the Bloch vector, so the zero set is the
+    intersection of two planes with the unit sphere.  Rotating the two
+    equations gives orthogonal normals g1, g2 with |g1| = s1 >= |g2| = s2,
+    and in the frame v1 = g1/s1, v2, v3 = v1 x v2 they read s1 y1 = r1,
+    s2 y2 = r2: solved exactly when y1^2 + y2^2 <= 1, else projected onto
+    the ellipse {(s1 y1, s2 y2) : |y| = 1} by Newton on the multiplier mu
+    of y_i = s_i r_i / (s_i^2 + mu).  Parallel planes (s2 = 0, or 0 up to
+    rounding) need no threshold.  Plain floats: at this size numpy costs
+    more than the arithmetic.
+    """
+    (c00, c01), (c10, c11) = c.tolist()
+    frame = _bloch_frame(c00, c01, c10, c11)
+    if frame is None:
+        # C is scalar: every state has the same form value
+        return np.array([1.0, 0.0], dtype=complex)
+    s1, s2 = frame.s1, frame.s2
     mu = 0.0
     for _ in range(_NEWTON_STEPS):
-        y1 = s1 * r1 / (s1 * s1 + mu)
-        y2 = s2 * r2 / (s2 * s2 + mu) if s2 > 0.0 else 0.0
+        y1, y2 = frame.point(mu)
         norm = math.hypot(y1, y2)
         if norm <= 1.0:
             break
@@ -293,8 +331,46 @@ def _quadratic_form_zero_2x2(c: np.ndarray) -> np.ndarray:
         mu += step
     if norm > 1.0:
         y1, y2 = y1 / norm, y2 / norm
-    y3 = math.sqrt(max(0.0, 1.0 - y1 * y1 - y2 * y2))
-    return _bloch_state([y1 * p + y2 * q + y3 * r for p, q, r in zip(v1, v2, v3)])
+    return frame.state(y1, y2)
+
+
+def _principal_zero(m: np.ndarray, zero_tol: float) -> np.ndarray | None:
+    """Zero witness on two basis vectors e_j, e_k, or None.
+
+    The range of the principal compression C = M[{j,k},{j,k}] is an
+    ellipse inside F(M).  For x = (cos t, e^{i phi} sin t), x'Cx is a
+    point of the chord [m_jj, m_kk] plus a term of modulus at most
+    (|m_jk| + |m_kj|)/2, so a pair whose chord lies farther than that
+    from 0 cannot hold 0.  The other pairs are tried nearest first, at
+    most n of them; the first whose zero lies on the Bloch sphere
+    (y1^2 + y2^2 <= 1, no projection) is lifted to e_j, e_k, and returned
+    when its residual meets ``zero_tol``.  Plain floats, as in the 2x2 solve.
+    """
+    n = m.shape[0]
+    rows = m.tolist()
+    ranked = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            bound = abs(_segment_point(rows[j][j], rows[k][k]))
+            bound -= 0.5 * (abs(rows[j][k]) + abs(rows[k][j]))
+            if bound <= 0.0:
+                ranked.append((bound, j, k))
+    ranked.sort()
+    for _, j, k in ranked[:n]:
+        frame = _bloch_frame(rows[j][j], rows[j][k], rows[k][j], rows[k][k])
+        if frame is None:
+            # C = 0, as bound <= 0 leaves no other scalar
+            x = np.array([1.0, 0.0], dtype=complex)
+        else:
+            y1, y2 = frame.point(0.0)
+            if math.hypot(y1, y2) > 1.0:
+                continue
+            x = frame.state(y1, y2)
+        psi = np.zeros(n, dtype=complex)
+        psi[[j, k]] = x
+        if _form_residual(m, psi) <= zero_tol:
+            return psi
+    return None
 
 
 def _unit_scale(m: np.ndarray, e: int) -> np.ndarray:
@@ -358,7 +434,12 @@ def _scaled_unitary_witness(m: np.ndarray) -> np.ndarray | None:
 
 
 def _solve(m: np.ndarray, zero_tol: float) -> tuple[float, np.ndarray]:
-    """Distance and witness from the bracket and its refinement."""
+    """Distance and witness: a zero of a principal 2x2 compression when one
+    holds 0 (n >= 3), else the bracket and its refinement."""
+    if m.shape[0] >= 3:
+        witness = _principal_zero(m, zero_tol)
+        if witness is not None:
+            return 0.0, witness
     h1, h2 = _hermitian_parts(m)
     half = _PHI_SAMPLES // 2
     step = math.pi / half
@@ -387,7 +468,7 @@ def _solve(m: np.ndarray, zero_tol: float) -> tuple[float, np.ndarray]:
         a, b = (p, sample(int(j) + 1)) if p.dg >= 0.0 else (sample(int(j) - 1), p)
         best, a, b, upper = _refine(h1, h2, a, b, radius, zero_tol, seen)
         if best.g > zero_tol:
-            return best.g, _span_state(m, a.x, b.x, _chord_point(a, b))
+            return best.g, _span_state(m, a.x, b.x, _segment_point(a.z, b.z))
         if upper <= zero_tol:
             break
     # support states: the min eigenvector at phi_j, the max one at phi_j + pi
@@ -404,12 +485,14 @@ def numrange_origin_distance(m) -> tuple[float, np.ndarray]:
     achieving state.
 
     Returns ``(distance, witness)`` where |<witness|M|witness>| equals
-    the distance within 1e-6 (typically far better).  The witness is
-    solved on the span of two support states the solver already holds:
-    one exact 2x2 solve when 0 lies outside F, two when it lies inside.
-    A 2x2 matrix is that one solve alone, and a multiple of a unitary is
-    solved on its eigenvectors; for both, the distance is
-    |<witness|M|witness>|.  A distance at or below max(min(1e-8, 1e-12 *
+    the distance within 1e-6 (typically far better).  From n = 3, a
+    principal 2x2 compression whose elliptical range holds 0 gives the
+    zero witness on two basis vectors in one exact solve, with no
+    eigensolve.  Otherwise the witness is solved on the span of two
+    support states the bracket already holds: one exact 2x2 solve when
+    0 lies outside F, two when it lies inside.  A 2x2 matrix is that one
+    solve alone, and a multiple of a unitary is solved on its
+    eigenvectors; for both, the distance is |<witness|M|witness>|.  A distance at or below max(min(1e-8, 1e-12 *
     max(1, max |m_ij|)), n eps 2^e), with 2^(e-1) <= max |m_ij| < 2^e,
     reads 0.0, with |<witness|M|witness>| at or below the larger of that
     bound and 1e-8.

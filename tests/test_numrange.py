@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ def form_value(m, psi):
 
 
 def bracket_solve(m):
-    """The n >= 3 solver on a matrix of any size, with the entry point's zero rule."""
+    """The n >= 3 bracket on a matrix of any size, with the entry point's
+    zero rule and no principal-pair step."""
     zero_tol = numrange._ZERO_TOL * max(1.0, np.abs(m).max())
-    return numrange._solve(m, min(numrange._WITNESS_TOL, zero_tol))
+    with mock.patch.object(numrange, "_principal_zero", lambda m, tol: None):
+        return numrange._solve(m, min(numrange._WITNESS_TOL, zero_tol))
 
 
 class TestQueryValidation:
@@ -362,8 +365,8 @@ def test_narrow_arc_unitary_is_exact_after_one_step(counted_eigensolves):
         assert len(counted_eigensolves) <= 2
 
 
-def test_eigensolves_per_zero_call(counted_eigensolves):
-    # the witness reuses the bracket's and the refinement's eigenvectors
+def zero_calls():
+    """60 boundary and 60 interior-zero matrices, n = 3..6."""
     rng = np.random.default_rng(8)
     cases = []
     for k in range(60):
@@ -373,11 +376,32 @@ def test_eigensolves_per_zero_call(counted_eigensolves):
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         psi /= np.linalg.norm(psi)
         cases += [boundary, m0 - form_value(m0, psi) * np.eye(n)]
+    return cases
+
+
+def test_eigensolves_per_zero_call(counted_eigensolves):
+    # the witness reuses the bracket's and the refinement's eigenvectors
+    cases = zero_calls()
     worst = 0
     for m in cases:
         counted_eigensolves.clear()
         dist, wit = numrange_origin_distance(m)
         assert dist == 0.0 and abs(form_value(m, wit)) <= 1e-8
+        worst = max(worst, len(counted_eigensolves))
+    assert worst <= 8
+
+
+def test_eigensolves_per_zero_call_in_the_bracket(counted_eigensolves, monkeypatch):
+    # the same pin with the principal-pair step out, so every interior
+    # zero is found by the bracket's own witness
+    monkeypatch.setattr(numrange, "_principal_zero", lambda m, tol: None)
+    cases = zero_calls()
+    worst = 0
+    for m in cases:
+        counted_eigensolves.clear()
+        dist, wit = numrange_origin_distance(m)
+        assert dist == 0.0 and abs(form_value(m, wit)) <= 1e-8
+        assert counted_eigensolves
         worst = max(worst, len(counted_eigensolves))
     assert worst <= 8
 
@@ -490,8 +514,10 @@ def test_large_entries_above_two_by_two(s):
 
 
 class TestWitnessGuard:
-    # not normal, so the bracket solves it; e_0 has residual 1
-    M = np.diag([1.0, 1j, -1.0, -1j]) + 0.5 * np.triu(np.ones((4, 4)), 1)
+    # not normal, and F holds its mean diagonal entry 0, but no principal
+    # ellipse holds 0: each lies within 0.05 of a chord 0.5 away from 0,
+    # so the bracket solves it; e_0 has residual 1
+    M = np.diag(np.exp(2j * math.pi * np.arange(3) / 3)) + 0.1 * np.triu(np.ones((3, 3)), 1)
 
     def test_nan_witness_raises(self, monkeypatch):
         # a NaN residual is no zero witness
@@ -519,6 +545,39 @@ class TestWitnessGuard:
         assert solves == [1]
         assert exc.value.residual == pytest.approx(1.0)
 
+    def test_guard_matrix_has_no_principal_zero(self):
+        scale = math.ldexp(1.0, -math.frexp(np.abs(self.M).max())[1])
+        assert numrange._principal_zero(scale * self.M, 1e-12) is None
+        dist, wit = numrange_origin_distance(self.M)
+        assert dist == 0.0 and abs(form_value(self.M, wit)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_principal_miss_is_never_a_zero(self, n, monkeypatch):
+        # i d I + H: every principal range is a segment at distance d from
+        # 0, whose two Bloch planes are parallel, so the sphere test passes
+        # for the pairs whose H-segment straddles 0 although no zero
+        # exists; only the residual d keeps them from reading as a zero
+        rng = np.random.default_rng([33, n])
+        passed = []
+        frame = numrange._bloch_frame
+
+        def spied(*entries):
+            f = frame(*entries)
+            passed.append(f is not None and math.hypot(*f.point(0.0)) <= 1.0)
+            return f
+
+        monkeypatch.setattr(numrange, "_bloch_frame", spied)
+        for _ in range(10):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = g + g.conj().T
+            h -= np.trace(h).real / n * np.eye(n)
+            d = 10 ** rng.uniform(-3, 0)
+            m = 1j * d * np.eye(n) + h
+            dist, wit = numrange_origin_distance(m)
+            assert dist == pytest.approx(d, rel=1e-12)
+            assert abs(form_value(m, wit)) == pytest.approx(d, rel=1e-12)
+        assert sum(passed) >= 10
+
     def test_nan_polygon_witness_raises(self, monkeypatch):
         # the scaled-unitary path meets the same guard, and never falls
         # back to the bracket
@@ -532,6 +591,88 @@ class TestWitnessGuard:
         with pytest.raises(NumericalRangeError):
             numrange_origin_distance(np.diag([1.0, 1j, -1.0, -1j]))
         assert solves == []
+
+
+def zero_case(rng, n):
+    """Ginibre matrix shifted by the point of a random state, so 0 lies in F."""
+    m = random_matrix(rng, n, False)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi /= np.linalg.norm(psi)
+    return m - form_value(m, psi) * np.eye(n)
+
+
+def on_two_basis_vectors(wit):
+    return np.count_nonzero(wit) == 2
+
+
+class TestPrincipalPairs:
+    """n >= 3: a principal 2x2 compression whose ellipse holds 0 gives the
+    zero witness before the bracket runs."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(35)
+        for n in range(3, 9):
+            for _ in range(12):
+                g = random_matrix(rng, n, False)
+                yield g
+                yield zero_case(rng, n)
+                yield 1e-6 * g
+                yield 1e-6 * zero_case(rng, n)
+                yield at_distance(g, rng.uniform(0, 2 * math.pi), 0.0)
+
+    def test_distances_equal_the_bracket_alone(self, monkeypatch):
+        cases = list(self.corpus())
+        first = [numrange_origin_distance(m) for m in cases]
+        monkeypatch.setattr(numrange, "_principal_zero", lambda m, tol: None)
+        hits = 0
+        for m, (dist, wit) in zip(cases, first):
+            alone, _ = numrange_origin_distance(m)
+            assert dist == alone
+            if dist == 0.0:
+                assert abs(form_value(m, wit)) <= 1e-12 * max(1.0, np.abs(m).max())
+                assert abs(np.linalg.norm(wit) - 1.0) <= 1e-14
+                hits += on_two_basis_vectors(wit)
+        # most of the zeros end on a principal pair
+        assert hits >= len(cases) // 2
+
+    def test_hit_makes_no_eigensolve(self, counted_eigensolves):
+        # m_00 = 1 and m_11 = -1 put the chord through 0 inside the
+        # ellipse of the pair (0, 1), so some pair always holds 0
+        rng = np.random.default_rng(36)
+        for k in range(60):
+            m = random_matrix(rng, 3 + k % 6, k % 2 == 0)
+            m[0, 0], m[1, 1] = 1.0, -1.0
+            dist, wit = numrange_origin_distance(m)
+            assert dist == 0.0 and on_two_basis_vectors(wit)
+            assert abs(form_value(m, wit)) <= 1e-14
+        assert counted_eigensolves == []
+
+    def test_zero_principal_block(self, counted_eigensolves):
+        # C = 0 is the one scalar compression that passes the filter; every
+        # pair's bound is 0 here, and the tie goes to the pair (0, 1)
+        m = np.diag([0.0, 0.0, 1.0 + 1j])
+        dist, wit = numrange_origin_distance(m)
+        assert dist == 0.0 and wit.tolist() == [1, 0, 0]
+        assert counted_eigensolves == []
+
+    def test_no_pair_tried_beyond_its_bound(self, monkeypatch):
+        # every pair whose chord lies farther from 0 than (|m_jk| + |m_kj|)/2
+        # is skipped, and at most n are tried
+        rng = np.random.default_rng(37)
+        tried = []
+        frame = numrange._bloch_frame
+        monkeypatch.setattr(
+            numrange, "_bloch_frame", lambda *c: tried.append(c) or frame(*c)
+        )
+        for k in range(40):
+            n = 3 + k % 6
+            m = random_matrix(rng, n, False) + rng.uniform(0, 4) * np.eye(n)
+            tried.clear()
+            numrange._principal_zero(m, 1e-12)
+            assert len(tried) <= n
+            for c00, c01, c10, c11 in tried:
+                assert segment_distance(c00, c11) <= (abs(c01) + abs(c10)) / 2
 
 
 SPECTRA = ("zero", "positive", "near_mirror")
@@ -584,6 +725,7 @@ class TestScaledUnitary:
         polygon = [numrange_origin_distance(m) for m in cases]
         assert solves == []
         monkeypatch.setattr(numrange, "_scaled_unitary_witness", lambda m: None)
+        monkeypatch.setattr(numrange, "_principal_zero", lambda m, tol: None)
         for m, (dist, wit) in zip(cases, polygon):
             scale = np.abs(m).max()
             bracket, _ = numrange_origin_distance(m)
