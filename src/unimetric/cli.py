@@ -8,7 +8,8 @@ Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 dimension
 mismatch or non-square matrix, 4 not unitary, 5 other error.  Matrix
 files use {"rows": r, "cols": c, "data": [[re, im], ...]} row-major.
 The UNIMETRIC_SEED environment variable overrides the default seed of
-randomized subcommands.
+randomized subcommands, and a malformed value is a parse error like a
+malformed ``--seed``.
 """
 
 from __future__ import annotations
@@ -55,13 +56,6 @@ _EXIT_CODES = (
     (PauliParseError, _EXIT_PARSE),
     (UnimetricError, _EXIT_OTHER),
 )
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ["UNIMETRIC_SEED"])
-    except (KeyError, ValueError):
-        return 0
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -300,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-alternations", type=int, default=subsets.SeparableProblem.max_alternations
     )
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=os.environ.get("UNIMETRIC_SEED", "0"))
     add_output_flags(p)
 
     p = sub.add_parser("nullspace", help="joint eigenstructure of commuting Paulis")
@@ -325,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flags(p)
 
     p = sub.add_parser("selftest", help="run the embedded verification suite")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=os.environ.get("UNIMETRIC_SEED", "0"))
     p.add_argument("--criteria", default=None, help="comma-separated check numbers")
 
     return parser

@@ -13,7 +13,10 @@ eigenvalues of W are tr(W)/2 +- mu, so d = |mu|, and the adjugate of
 W - lambda I gives the eigenvectors and so the maximizer.  From n = 3
 W is eigensolved once, and :func:`circlegeom.arc_witness` weights the
 eigenvectors: the arc's two ends, or, once the arc is saturated
-(alpha >= pi), three eigenvalues whose convex combination is 0.
+(alpha >= pi), three eigenvalues whose convex combination is 0.  One
+kernel, :func:`_closed_form_w`, turns W into the value, the arc and the
+maximizer; ``distinguishability`` and the numerical range of a multiple
+of a unitary read it too.
 
 Per-state pseudometrics (:func:`d_psi`, :func:`d_rho`), the Schatten-p
 rescaling, and the tensor composition rule live here too.
@@ -188,25 +191,19 @@ def _closed_form_2x2(w: np.ndarray) -> tuple[float, list[float], np.ndarray]:
     return min(1.0, abs(mu)), angles, np.array([x / nrm, y / nrm])
 
 
-def _closed_form(
-    u, v
-) -> tuple[MetricResult, circlegeom.SpectralArc, bool, tuple[np.ndarray, np.ndarray]]:
-    """Closed-form d(U, V) and its maximizer, with the arc of the canonical
-    W, whether that W is V'U rather than U'V, and the checked operands.
+def _closed_form_w(w: np.ndarray) -> tuple[MetricResult, circlegeom.SpectralArc]:
+    """Closed-form d(I, W) of a unitary W, its maximizer and the arc of
+    its eigenvalues.
 
-    Arguments are reordered by a deterministic byte comparison before
-    forming W, so d(U, V) and d(V, U) run the identical computation and
-    return bitwise-equal values, maximizers and arcs.  A 2x2 W takes the
-    explicit formulas of :func:`_closed_form_2x2`.  A larger W is
-    eigensolved once and not re-judged at the operands' unitarity
-    tolerance; its angles are sorted in [0, 2pi), so the arc's indices
-    address its eigenvectors, which :func:`circlegeom.arc_witness`
+    A 2x2 W takes the explicit formulas of :func:`_closed_form_2x2`.  A
+    larger W is eigensolved once and not re-judged at the operands'
+    unitarity tolerance; its angles are sorted in [0, 2pi), so the arc's
+    indices address its eigenvectors, which :func:`circlegeom.arc_witness`
     weights: the arc's two ends, or three vertices once it covers a
-    semicircle.
+    semicircle.  The maximizer sum_k sqrt(w_k) v_k, normalized, is also
+    the state of the point of W's numerical range, the polygon of its
+    eigenvalues, nearest 0.
     """
-    mu, mv = _pair_matrices(u, v)
-    swapped = mv.tobytes() < mu.tobytes()
-    w = mv.conj().T @ mu if swapped else mu.conj().T @ mv
     n = w.shape[0]
     if n == 2:
         value, angles, psi = _closed_form_2x2(w)
@@ -220,8 +217,21 @@ def _closed_form(
         psi = psi / np.linalg.norm(psi)
     if arc.alpha <= ROUNDING_ARC_ULPS * n * math.ulp(TAU):
         value = 0.0
-    result = MetricResult(value=value, maximizer=psi, method="closed_form")
-    return result, arc, swapped, (mu, mv)
+    return MetricResult(value=value, maximizer=psi, method="closed_form"), arc
+
+
+def _closed_form(u, v) -> tuple[MetricResult, circlegeom.SpectralArc, bool, np.ndarray]:
+    """Closed-form d(U, V) and its maximizer, with the arc of the canonical
+    W, whether that W is V'U rather than U'V, and W itself.
+
+    Arguments are reordered by a deterministic byte comparison before
+    forming W, so d(U, V) and d(V, U) run the identical computation and
+    return bitwise-equal values, maximizers and arcs.
+    """
+    mu, mv = _pair_matrices(u, v)
+    swapped = mv.tobytes() < mu.tobytes()
+    w = mv.conj().T @ mu if swapped else mu.conj().T @ mv
+    return *_closed_form_w(w), swapped, w
 
 
 def sup_distance_with_arc(u, v) -> tuple[MetricResult, circlegeom.SpectralArc]:
@@ -297,25 +307,19 @@ def check_sandwich(u, v, psi) -> SandwichBounds:
 
 
 def distinguishability(u, v) -> DistinguishabilityResult:
-    """Decide one-shot distinguishability; d(U, V) = 1 is the criterion."""
-    result, arc, _, (mu, mv) = _closed_form(u, v)
-    if result.value >= 1.0 - RESULT_TOL:
-        alpha_vec = result.maximizer
-        residual = float(abs(np.vdot(mu @ alpha_vec, mv @ alpha_vec)))
-        return DistinguishabilityResult(
-            distinguishable=True,
-            value=result.value,
-            witness=alpha_vec,
-            residual=residual,
-            min_overlap_bound=None,
-            arc_alpha=arc.alpha,
-        )
-    bound = math.cos(arc.alpha / 2.0)
+    """Decide one-shot distinguishability; d(U, V) = 1 is the criterion.
+
+    The residual |<psi|W|psi>| of the canonical W has the same modulus
+    for U'V and V'U, so it is |<U psi, V psi>| in either order.
+    """
+    result, arc, _, w = _closed_form(u, v)
+    distinguishable = result.value >= 1.0 - RESULT_TOL
+    psi = result.maximizer
     return DistinguishabilityResult(
-        distinguishable=False,
+        distinguishable=distinguishable,
         value=result.value,
-        witness=None,
-        residual=None,
-        min_overlap_bound=bound,
+        witness=psi if distinguishable else None,
+        residual=float(abs(np.vdot(psi, w @ psi))) if distinguishable else None,
+        min_overlap_bound=None if distinguishable else math.cos(arc.alpha / 2.0),
         arc_alpha=arc.alpha,
     )

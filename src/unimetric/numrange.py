@@ -75,13 +75,12 @@ on at most one arc, and there g'' <= -g < 0.
   c = tr(M'M)/n, M is sqrt(c) times a unitary, so it is normal and F is
   the polygon of its eigenvalues (the normality property of the field
   of values: Horn and Johnson, Topics in Matrix Analysis, 1991, sec.
-  1.2).  The eigenvectors v_k come from linalg.decompose_unitary on the
-  polar step of M / sqrt(c), and circlegeom.arc_witness, the closed
-  form's own rule, puts convex weights w_k on the eigenvalues: 1/2 on
-  the ends of their arc, whose chord's midpoint is the polygon's point
-  nearest 0, or three vertices around 0 once the arc covers a
-  semicircle.  The witness is sum_k sqrt(w_k) v_k, and the
-  distance is |<x|M|x>|.  The invariant faces of a unitary and the
+  1.2).  Its witness is the closed form's: metrics._closed_form_w, on
+  the polar step of M / sqrt(c), weighs the eigenvectors v_k by w_k,
+  1/2 on the ends of the eigenvalues' arc, whose chord's midpoint is the
+  polygon's point nearest 0, or three vertices around 0 once the arc
+  covers a semicircle, and returns sum_k sqrt(w_k) v_k, normalized.
+  The distance is |<x|M|x>|.  The invariant faces of a unitary and the
   factors of a Kronecker product take this path, with no bracket.
 * Scale: for every n >= 2 the solve runs on M / 2^e with max |m_ij| < 2^e.
   A power of two scales exactly, and the squares the solve takes stay
@@ -104,15 +103,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circlegeom import arc_witness, polygon_exit, smallest_covering_arc
+from .circlegeom import polygon_exit
 from .errors import NotSquareError, NumericalRangeError
-from .linalg import (
-    _hermitian_parts,
-    _polar_step,
-    as_matrix,
-    decompose_unitary,
-    gram_deviation,
-)
+from .linalg import _hermitian_parts, _polar_step, as_matrix, gram_deviation
+from .metrics import _closed_form_w
 
 _ZERO_TOL = 1e-12
 _WITNESS_TOL = 1e-8
@@ -416,10 +410,8 @@ def _scaled_unitary_witness(m: np.ndarray) -> np.ndarray | None:
     """Witness from the eigenvalue polygon when M = sqrt(c) U with U
     unitary, c = tr(M'M)/n, to max |M'M - c I| <= 1e-13 c; else None.
 
-    F(M) is then the convex hull of M's eigenvalues, and the convex
-    weights w_k that circlegeom.arc_witness puts on eigenvalues
-    lambda_k, the nearest point or a zero, are reached by
-    sum_k sqrt(w_k) v_k over the eigenvectors v_k.
+    F(M) is then the convex hull of M's eigenvalues, and the closed
+    form's maximizer for U reaches its point nearest 0, or a zero.
     """
     n = m.shape[0]
     gram = m.conj().T @ m
@@ -428,9 +420,7 @@ def _scaled_unitary_witness(m: np.ndarray) -> np.ndarray | None:
         return None
     # the polar step's eigenvectors are exact to second order in A's
     # deviation from unitary, A's own only to first order over H1's gaps
-    u = decompose_unitary(_polar_step(m / math.sqrt(c)))
-    witness = arc_witness(smallest_covering_arc(u.eigen_angles))
-    return u.eigen_vectors[:, list(witness.support)] @ np.sqrt(witness.weights)
+    return _closed_form_w(_polar_step(m / math.sqrt(c)))[0].maximizer
 
 
 def _solve(m: np.ndarray, zero_tol: float) -> tuple[float, np.ndarray]:

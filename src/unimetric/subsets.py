@@ -133,6 +133,17 @@ class NullSpaceResult:
         }
 
 
+def _overlap_result(overlap: float, state: np.ndarray) -> MetricResult:
+    """Value sqrt(1 - overlap^2), clamped, at ``state`` normalized."""
+    value = math.sqrt(min(1.0, max(0.0, 1.0 - overlap * overlap)))
+    return MetricResult(
+        value=value,
+        maximizer=state / np.linalg.norm(state),
+        method="optimization",
+        tolerance=_SUBSET_RESULT_TOL,
+    )
+
+
 def face_distance(u, v, face) -> MetricResult:
     """Sup of d_rho over states supported in the face's subspace.
 
@@ -150,12 +161,7 @@ def face_distance(u, v, face) -> MetricResult:
     w = mu.conj().T @ mv
     comp = face.basis.conj().T @ w @ face.basis
     dist, witness = numrange_origin_distance(comp)
-    value = math.sqrt(min(1.0, max(0.0, 1.0 - dist * dist)))
-    maximizer = face.basis @ witness
-    maximizer = maximizer / np.linalg.norm(maximizer)
-    return MetricResult(
-        value=value, maximizer=maximizer, method="optimization", tolerance=_SUBSET_RESULT_TOL
-    )
+    return _overlap_result(dist, face.basis @ witness)
 
 
 def product_overlap(w: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> float:
@@ -262,12 +268,7 @@ def separable_distance(u, v, prob: SeparableProblem) -> MetricResult:
         if best is None or run[2] < best[2]:
             best = run
     alpha, beta, best_obj = best[:3]
-    value = math.sqrt(min(1.0, max(0.0, 1.0 - best_obj * best_obj)))
-    maximizer = np.kron(alpha, beta)
-    maximizer = maximizer / np.linalg.norm(maximizer)
-    return MetricResult(
-        value=value, maximizer=maximizer, method="optimization", tolerance=_SUBSET_RESULT_TOL
-    )
+    return _overlap_result(best_obj, np.kron(alpha, beta))
 
 
 def null_space(generators) -> NullSpaceResult:

@@ -412,6 +412,34 @@ def test_negative_selftest_seed_exits_5_without_traceback(seed_args, env_vars, c
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sep-dist", "selftest"])
+@pytest.mark.parametrize(
+    "seed_args, env_vars", [(["--seed", "abc"], {}), ([], {"UNIMETRIC_SEED": "abc"})]
+)
+def test_malformed_seed_exits_2(command, seed_args, env_vars, matrix_files, capsys, monkeypatch):
+    # the variable is parsed like the flag, so a bad value is never read as seed 0
+    for name, value in env_vars.items():
+        monkeypatch.setenv(name, value)
+    argv = {
+        "sep-dist": ["sep-dist", matrix_files["I4"], matrix_files["swap"], "--dims", "2,2"],
+        "selftest": ["selftest", "--criteria", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *seed_args])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_seed_flag_overrides_malformed_env(matrix_files, capsys, monkeypatch):
+    monkeypatch.setenv("UNIMETRIC_SEED", "abc")
+    code, payload = run_json(
+        capsys,
+        ["sep-dist", matrix_files["I4"], matrix_files["swap"], "--dims", "2,2",
+         "--restarts", "2", "--seed", "4"],
+    )
+    assert code == 0 and payload["seed"] == 4
+
+
 def test_failed_residual_check_exits_5_without_traceback(tmp_path, capsys, monkeypatch):
     u = _haar_file(tmp_path, "u", 3, 84)
     v = _haar_file(tmp_path, "v", 3, 85)

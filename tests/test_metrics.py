@@ -17,7 +17,13 @@ from unimetric.errors import (
     OutOfRangeError,
 )
 from unimetric import circlegeom
-from unimetric.linalg import DensityState, haar_random_unitary, haar_unitaries, kron
+from unimetric.linalg import (
+    DensityState,
+    haar_random_unitary,
+    haar_unitaries,
+    kron,
+    validate_unitary,
+)
 from unimetric.metrics import (
     check_sandwich,
     d_psi,
@@ -297,26 +303,47 @@ class TestDistinguishability:
         assert rep.min_overlap_bound == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_bitwise(self):
-        # the arc is that of the canonically ordered W, so every field but
-        # the residual's rounding is the same computation in both orders
-        pairs = [(haar(4, 60), haar(4, 61)), (np.eye(4), CNOT), (I2, Z)]
-        for n in range(2, 17):
-            rng = np.random.default_rng([n, 15])
-            us = haar_unitaries(rng, 20, n)
-            pairs += zip(us[:10], us[10:])
-            if n >= 3:
-                # every gap below 3pi/n <= pi: the arc covers a semicircle
-                for u, q in zip(us[:5], haar_unitaries(rng, 5, n)):
-                    angles = (np.arange(n) + rng.uniform(0.0, 0.5, n)) * TAU / n
-                    pairs.append((u, u @ spectrum(q, angles)))
-        for u, v in pairs:
+        # the arc, the witness and the residual are all those of the
+        # canonically ordered W, so every field is the same computation
+        # in both orders
+        for u, v in verdict_pairs():
             a, b = distinguishability(u, v), distinguishability(v, u)
             assert a.value == b.value
             assert a.distinguishable == b.distinguishable
             assert a.arc_alpha == b.arc_alpha
             assert a.min_overlap_bound == b.min_overlap_bound
+            assert a.residual == b.residual
             if a.witness is not None:
                 assert a.witness.tobytes() == b.witness.tobytes()
+
+    def test_residual_is_the_operand_overlap(self):
+        # |<psi|W|psi>| has the modulus of |<U psi, V psi>| for W = U'V or V'U
+        eps = np.finfo(float).eps
+        found = 0
+        for u, v in verdict_pairs():
+            for a, b in ((u, v), (v, u)):
+                rep = distinguishability(a, b)
+                if rep.distinguishable:
+                    found += 1
+                    psi = rep.witness
+                    overlap = abs(np.vdot(a @ psi, b @ psi))
+                    assert abs(rep.residual - overlap) <= 4 * eps
+        assert found >= 100
+
+
+def verdict_pairs():
+    """Haar pairs for n = 2..16, saturated pairs from n = 3, and three fixed pairs."""
+    pairs = [(haar(4, 60), haar(4, 61)), (np.eye(4), CNOT), (I2, Z)]
+    for n in range(2, 17):
+        rng = np.random.default_rng([n, 15])
+        us = haar_unitaries(rng, 20, n)
+        pairs += zip(us[:10], us[10:])
+        if n >= 3:
+            # every gap below 3pi/n <= pi: the arc covers a semicircle
+            for u, q in zip(us[:5], haar_unitaries(rng, 5, n)):
+                angles = (np.arange(n) + rng.uniform(0.0, 0.5, n)) * TAU / n
+                pairs.append((u, u @ spectrum(q, angles)))
+    return pairs
 
 
 def spectrum(q, angles):
@@ -473,6 +500,23 @@ PAIR_FUNCTIONS = {
 def test_pair_functions_reject_non_unitary_operands(name, pair):
     with pytest.raises(NotUnitaryError):
         PAIR_FUNCTIONS[name](*NON_UNITARY_PAIRS[pair])
+
+
+def fields(out):
+    """Every field of a result, arrays as bytes; a float as itself."""
+    values = vars(out).values() if hasattr(out, "__dict__") else [out]
+    return [x.tobytes() if isinstance(x, np.ndarray) else x for x in values]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FUNCTIONS))
+def test_pair_functions_take_validated_operators(name):
+    # a UnitaryOperator was checked when it was built, so its matrix is
+    # used as is, and the result is the raw matrices' bit for bit
+    func = PAIR_FUNCTIONS[name]
+    for u, v in [(haar(4, 72), haar(4, 73)), (np.eye(4, dtype=complex), CNOT)]:
+        raw = fields(func(u, v))
+        assert fields(func(validate_unitary(u), validate_unitary(v))) == raw
+        assert fields(func(validate_unitary(u), v)) == raw
 
 
 @pytest.mark.parametrize("func", [sup_distance, distinguishability])

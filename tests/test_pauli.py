@@ -96,6 +96,15 @@ class TestProduct:
         assert np.abs(prod.to_matrix() - a.to_matrix() @ b.to_matrix()).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
+    @given(elements, elements)
+    def test_operator_is_the_product(self, a, b):
+        if a.num_qubits != b.num_qubits:
+            with pytest.raises(LengthMismatchError):
+                a * b
+            return
+        assert a * b == pauli_product(a, b)
+
+    @settings(max_examples=60, deadline=None)
     @given(elements)
     def test_square_is_plus_minus_identity(self, g):
         sq = pauli_product(g, g)
