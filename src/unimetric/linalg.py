@@ -14,7 +14,11 @@ equal eigenvalues left so far (the whole space for the first) and split
 coarsely, H2 is re-diagonalized on each block, and blocks whose H1
 eigenvalues spread are split by H1 again.  This keeps every solve
 well-conditioned and avoids a general nonsymmetric eigensolver
-(Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993).
+(Bunse-Gerstner, Byers & Mehrmann, SIMAX 14, 1993).  A block on which a
+part is already scalar, to within ``_CLUSTER_TOL``/2 over the block's
+size, is not solved, since no solve could split it: W is then
+eigensolved once whenever its H1 alone separates its distinct
+eigenvalues, repeated ones included.
 """
 
 from __future__ import annotations
@@ -163,14 +167,30 @@ def _split(
     """Re-diagonalize h on every block of more than one column, in place in
     ``basis`` (one batched eigensolve per block size), and split each block
     into runs of its eigenvalues at ``tol``.  Also returns the columns of
-    the runs whose eigenvalues spread beyond ``_CLUSTER_TOL``."""
+    the runs whose eigenvalues spread beyond ``_CLUSTER_TOL``.
+
+    A block on which the compression C of h is already scalar, with
+    size * max|C - cI| <= ``_CLUSTER_TOL``/2 for c the mean of its
+    diagonal, is not solved: every eigenvalue lies within
+    ``_CLUSTER_TOL``/2 of c, so the solve would return one run and mark
+    nothing uneven, and the block keeps its columns, already eigenvectors
+    to within that bound.  The rule reads ``_CLUSTER_TOL`` for every
+    ``tol``, so a skip never hides a spread that a resplit needs.
+    """
     split, uneven = {}, set()
     for size in {len(cols) for cols in blocks} - {1}:
         group = [cols for cols in blocks if len(cols) == size]
         sub = basis[:, group].transpose(1, 0, 2)
         comp = sub.conj().transpose(0, 2, 1) @ h @ sub
-        vals, vecs = np.linalg.eigh((comp + comp.conj().transpose(0, 2, 1)) / 2)
-        basis[:, group] = (sub @ vecs).transpose(1, 0, 2)
+        comp = (comp + comp.conj().transpose(0, 2, 1)) / 2
+        mean = np.einsum("bii->b", comp).real / size
+        dev = np.abs(comp - mean[:, None, None] * np.eye(size)).max(axis=(1, 2))
+        keep = np.flatnonzero(size * dev > _CLUSTER_TOL / 2)
+        if keep.size == 0:
+            continue
+        group = [group[i] for i in keep]
+        vals, vecs = np.linalg.eigh(comp[keep])
+        basis[:, group] = (sub[keep] @ vecs).transpose(1, 0, 2)
         for cols, v in zip(group, vals):
             parts = runs(v, tol)
             split[cols[0]] = [[cols[i] for i in run] for run in parts]
@@ -193,14 +213,23 @@ def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
     apart, and eigenvectors that a split there separates carry errors of
     about eps / g; kept together, the second part separates them well.
     The second part is formed only while a block has more than one
-    column.  Only the blocks whose first-part values spread beyond
-    ``_CLUSTER_TOL`` are split by the first part again.
+    column, and only the blocks whose first-part values spread beyond
+    ``_CLUSTER_TOL`` are split by the first part again.  When every gap
+    of the first operator's first-part spectrum exceeds ``_COARSE_TOL``,
+    that one eigensolve is the answer.  No block is solved on which a
+    part is already scalar (see :func:`_split`), so a W with repeated
+    eigenvalues whose first-part values differ (a multiple of a Pauli
+    string, e^{i phi} I) costs one eigensolve too.
     """
     basis = None
     for w in operators:
-        h1 = (w + w.conj().T) / 2
+        # (W + W')/2 entry for entry, up to the sign of a zero
+        h1 = w + w.conj().T
+        h1 *= 0.5
         if basis is None:
             vals, basis = np.linalg.eigh(h1)
+            if (np.diff(vals) > _COARSE_TOL).all():
+                return basis, [[i] for i in range(len(vals))]
             blocks = runs(vals, _COARSE_TOL)
             uneven = {
                 c
@@ -264,12 +293,13 @@ def _eigen_fit(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     av = a @ vecs
     ray = np.einsum("ij,ij->j", vecs.conj(), av)
     angles = reduce_angles(np.arctan2(ray.imag, ray.real))
-    resid = float(np.linalg.norm(av - vecs * np.exp(1j * angles), axis=0).max())
-    return vecs, angles, resid
+    av -= vecs * np.exp(1j * angles)
+    return vecs, angles, float(np.linalg.norm(av, axis=0).max())
 
 
-def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
-    """Spectral data of a matrix known to be unitary; checks the eigen-residual.
+def checked_eigen_fit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of a matrix known to be unitary and their angles in
+    [0, 2pi), unsorted; checks the eigen-residual.
 
     The angles are those of the Rayleigh quotients v'Av on the kernel's
     basis.  A that is not exactly normal can mix the eigenvectors of
@@ -282,6 +312,12 @@ def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
         vecs, angles, resid = _eigen_fit(a, _polar_step(a))
         if resid > EIGEN_TOL:
             raise InternalCheckError("eigendecomposition residual", resid, EIGEN_TOL)
+    return vecs, angles
+
+
+def decompose_unitary(a: np.ndarray) -> UnitaryOperator:
+    """:func:`checked_eigen_fit` of A, sorted by angle and frozen with A."""
+    vecs, angles = checked_eigen_fit(a)
     order = np.argsort(angles, kind="stable")
     return UnitaryOperator(
         matrix=_freeze(a),

@@ -11,12 +11,13 @@ arc of U'V is no longer than the rounding of its angles.
 At n = 2 the formula is explicit and needs no eigensolve: the
 eigenvalues of W are tr(W)/2 +- mu, so d = |mu|, and the adjugate of
 W - lambda I gives the eigenvectors and so the maximizer.  From n = 3
-W is eigensolved once, and :func:`circlegeom.arc_witness` weights the
-eigenvectors: the arc's two ends, or, once the arc is saturated
-(alpha >= pi), three eigenvalues whose convex combination is 0.  One
-kernel, :func:`_closed_form_w`, turns W into the value, the arc and the
-maximizer; ``distinguishability`` and the numerical range of a multiple
-of a unitary read it too.
+W is eigensolved once, repeated eigenvalues included, unless two
+distinct ones have real parts within 1e-6; :func:`circlegeom.arc_witness`
+weights the eigenvectors: the arc's two ends, or, once the arc is
+saturated (alpha >= pi), three eigenvalues whose convex combination is
+0.  One kernel, :func:`_closed_form_w`, turns W into the value, the arc
+and the maximizer; ``distinguishability`` and the numerical range of a
+multiple of a unitary read it too.
 
 Per-state pseudometrics (:func:`d_psi`, :func:`d_rho`), the Schatten-p
 rescaling, and the tensor composition rule live here too.
@@ -44,7 +45,7 @@ from .linalg import (
     EIGEN_TOL,
     TAU,
     _density_matrix,
-    decompose_unitary,
+    checked_eigen_fit,
     trace_distance_matrices,
     unitary_matrix,
     vector_to_json,
@@ -196,24 +197,26 @@ def _closed_form_w(w: np.ndarray) -> tuple[MetricResult, circlegeom.SpectralArc]
     its eigenvalues.
 
     A 2x2 W takes the explicit formulas of :func:`_closed_form_2x2`.  A
-    larger W is eigensolved once and not re-judged at the operands'
-    unitarity tolerance; its angles are sorted in [0, 2pi), so the arc's
-    indices address its eigenvectors, which :func:`circlegeom.arc_witness`
-    weights: the arc's two ends, or three vertices once it covers a
-    semicircle.  The maximizer sum_k sqrt(w_k) v_k, normalized, is also
-    the state of the point of W's numerical range, the polygon of its
-    eigenvalues, nearest 0.
+    larger W is fitted once by :func:`checked_eigen_fit` and not
+    re-judged at the operands' unitarity tolerance; the arc reads its
+    angles sorted in [0, 2pi), and the sort order maps the arc's indices
+    to the eigenvectors that :func:`circlegeom.arc_witness` weights: the
+    arc's two ends, or three vertices once it covers a semicircle.  Only
+    those columns are gathered.  The maximizer sum_k sqrt(w_k) v_k,
+    normalized, is also the state of the point of W's numerical range,
+    the polygon of its eigenvalues, nearest 0.
     """
     n = w.shape[0]
     if n == 2:
         value, angles, psi = _closed_form_2x2(w)
         arc = circlegeom.smallest_covering_arc(angles)
     else:
-        wop = decompose_unitary(w)
-        arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
+        vecs, angles = checked_eigen_fit(w)
+        order = np.argsort(angles, kind="stable")
+        arc = circlegeom.smallest_covering_arc(angles[order])
         value = circlegeom.distance_from_arc(arc)
         witness = circlegeom.arc_witness(arc)
-        psi = wop.eigen_vectors[:, list(witness.support)] @ np.sqrt(witness.weights)
+        psi = vecs[:, order[list(witness.support)]] @ np.sqrt(witness.weights)
         psi = psi / np.linalg.norm(psi)
     if arc.alpha <= ROUNDING_ARC_ULPS * n * math.ulp(TAU):
         value = 0.0

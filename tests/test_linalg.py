@@ -18,7 +18,9 @@ from unimetric.errors import (
     OutOfRangeError,
 )
 from unimetric.linalg import (
+    _CLUSTER_TOL,
     DensityState,
+    _split,
     as_matrix,
     gram_deviation,
     haar_random_unitary,
@@ -341,6 +343,84 @@ class TestMirrorPairs:
                 v = res.common_eigenbasis[:, list(cols)]
                 for g, chi in zip(gens, chars):
                     assert np.linalg.norm(g @ v - chi * v, axis=0).max() <= 1e-13
+
+
+    def test_near_mirror_family_at_n4(self):
+        # the family's worst residual is 2.497e-10 whether or not scalar
+        # blocks skip their solve: H2 is never scalar on a mirror block
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(200):
+            theta, gap = rng.uniform(0.0, math.pi), 10 ** rng.uniform(-9, -5)
+            angles = [theta, 2 * math.pi - theta - gap, *rng.uniform(0.0, 2 * math.pi, 2)]
+            q = haar_unitaries(rng, 1, 4)[0]
+            w = (q * np.exp(1j * np.array(angles))) @ q.conj().T
+            worst = max(worst, eigen_residual(w, validate_unitary(w)))
+        assert worst <= 2.5e-10
+
+
+def forced_split(basis, blocks, h, tol):
+    """_split with every block of more than one column solved, one at a time."""
+    basis, out = basis.copy(), []
+    for cols in blocks:
+        if len(cols) > 1:
+            sub = basis[:, cols]
+            comp = sub.conj().T @ h @ sub
+            vals, vecs = np.linalg.eigh((comp + comp.conj().T) / 2)
+            basis[:, cols] = sub @ vecs
+            out += [[cols[i] for i in run] for run in runs(vals, tol)]
+        else:
+            out.append(cols)
+    return basis, out
+
+
+class TestScalarBlockSkip:
+    """A block is solved unless size * max|C - cI| <= _CLUSTER_TOL / 2."""
+
+    BOUND = _CLUSTER_TOL / 2
+
+    def scaled_block(self, rng, size, factor):
+        """0.3 I plus a Hermitian part whose size * max deviation is factor * BOUND."""
+        q = haar_unitaries(rng, 1, size)[0]
+        d = (q * rng.uniform(-1.0, 1.0, size)) @ q.conj().T
+        d = (d + d.conj().T) / 2
+        d -= np.trace(d).real / size * np.eye(size)
+        return 0.3 * np.eye(size) + d * (factor * self.BOUND / (size * np.abs(d).max()))
+
+    def case(self, rng):
+        """A random basis of each block and an h whose compressions on the
+        blocks are: [0..2] at half the bound, [3..5] at twice it, [6, 7]
+        spread far beyond it."""
+        blocks = [[0, 1, 2], [3, 4, 5], [6, 7]]
+        comps = [self.scaled_block(rng, 3, 0.5), self.scaled_block(rng, 3, 2.0)]
+        comps.append(np.diag([0.1, 0.2]).astype(complex))
+        basis = np.zeros((8, 8), dtype=complex)
+        h = np.zeros((8, 8), dtype=complex)
+        for cols, comp in zip(blocks, comps):
+            b = haar_unitaries(rng, 1, len(cols))[0]
+            basis[np.ix_(cols, cols)] = b
+            h[np.ix_(cols, cols)] = b @ comp @ b.conj().T
+        return basis, blocks, h
+
+    @pytest.mark.parametrize("tol", [_CLUSTER_TOL, 1e-6])
+    def test_only_the_scalar_block_skips(self, tol, counted_eigensolves):
+        basis, blocks, h = self.case(np.random.default_rng(96))
+        want_basis, want_blocks = forced_split(basis, blocks, h, tol)
+        got = basis.copy()
+        counted_eigensolves.clear()
+        got_blocks, uneven = _split(got, blocks, h, tol)
+        # one batched solve per block size: [3..5] for size 3, [6, 7] for size 2
+        assert len(counted_eigensolves) == 2
+        assert got_blocks == want_blocks == [[0, 1, 2], [3, 4, 5], [6], [7]]
+        assert uneven == set()
+        assert got[:, :3].tobytes() == basis[:, :3].tobytes()
+        np.testing.assert_allclose(got[:, 3:], want_basis[:, 3:], rtol=0, atol=1e-14)
+
+    def test_skipped_columns_are_eigenvectors_within_the_bound(self):
+        basis, blocks, h = self.case(np.random.default_rng(97))
+        _split(basis, blocks, h, _CLUSTER_TOL)
+        sub = basis[:, :3]
+        assert np.abs(h @ sub - 0.3 * sub).max() <= self.BOUND
 
 
 class TestRuns:

@@ -527,6 +527,40 @@ def test_one_eigensolve_per_pair(func, counted_eigensolves):
     assert len(counted_eigensolves) == 1
 
 
+def pauli_string(letters: str) -> np.ndarray:
+    return functools.reduce(np.kron, [PAULIS["IXYZ".index(c)] for c in letters])
+
+
+def degenerate_pairs() -> dict:
+    """(U, V, d) for pairs whose W = U'V repeats eigenvalues with distinct
+    real parts: a phase times a Pauli string (two antipodal values), V a
+    phase multiple of U (one value) and two or three distinct angles, the
+    last in blocks of two sizes."""
+    rng = np.random.default_rng(94)
+    pairs = {}
+    for a, b in (("XZ", "ZY"), ("XYZ", "ZZI"), ("XYZIXY", "ZZXYIX")):
+        pairs[f"pauli-{2 ** len(a)}"] = (np.exp(0.7j) * pauli_string(a), pauli_string(b), 1.0)
+    for n in (3, 16, 64):
+        u = haar_unitaries(rng, 1, n)[0]
+        pairs[f"phase-{n}"] = (u, np.exp(1.1j) * u, 0.0)
+    for n, angles, d in ((8, [0.2, 1.4], math.sin(0.6)), (7, [0.3, 2.3, 4.3], 1.0)):
+        u, q = haar_unitaries(rng, 2, n)
+        pairs[f"repeated-{len(angles)}"] = (u, u @ spectrum(q, np.resize(angles, n)), d)
+    return pairs
+
+
+@pytest.mark.parametrize("func", [sup_distance, distinguishability])
+@pytest.mark.parametrize("kind", list(degenerate_pairs()))
+def test_one_eigensolve_per_degenerate_pair(func, kind, counted_eigensolves):
+    # every block of W's first Hermitian part holds one eigenvalue, so the
+    # second part is scalar on each and no block is solved again
+    u, v, d = degenerate_pairs()[kind]
+    counted_eigensolves.clear()
+    res = func(u, v)
+    assert len(counted_eigensolves) == 1
+    assert res.value == pytest.approx(d, abs=1e-12)
+
+
 @pytest.mark.parametrize("func", [sup_distance, distinguishability])
 def test_one_arc_per_pair(func, monkeypatch):
     u, v = haar(5, 70), haar(5, 71)

@@ -22,6 +22,8 @@ from unimetric.subsets import (
     alternating_product_minimization,
     face_distance,
     null_space,
+    product_overlap,
+    product_state,
     separable_distance,
 )
 
@@ -179,6 +181,17 @@ class TestSeparableDistance:
             assert np.array_equal(a.maximizer, b.maximizer)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 5)])
+def test_product_state_is_kron_bitwise(dims):
+    rng = np.random.default_rng([dims[0], dims[1], 95])
+    for _ in range(20):
+        a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims)
+        w = haar_unitaries(rng, 1, dims[0] * dims[1])[0]
+        vec = np.kron(a, b)
+        assert product_state(a, b).tobytes() == vec.tobytes()
+        assert product_overlap(w, a, b) == abs(complex(vec.conj() @ w @ vec))
+
+
 class TestSeparableProblem:
     @pytest.mark.parametrize(
         "field, value",
@@ -325,6 +338,17 @@ class TestNullSpace:
             assert len(cols) == 1
             vec = res.common_eigenbasis[:, cols[0]]
             assert np.max(np.abs(bell.conj().T @ vec) ** 2) >= 1 - 1e-10
+
+    def test_zz_xx_blocks_in_two_eigensolves(self, counted_eigensolves):
+        # ZZ's second Hermitian part is 0, so its two blocks are not solved
+        # again: H1(ZZ) makes them and H1(XX) splits them
+        counted_eigensolves.clear()
+        res = null_space([kron(Z, Z), kron(X, X)])
+        assert len(counted_eigensolves) == 2
+        assert res.blocks == ((0,), (1,), (2,), (3,))
+        np.testing.assert_allclose(
+            res.characters, [[-1, -1], [-1, 1], [1, -1], [1, 1]], rtol=0, atol=1e-12
+        )
 
     def test_simultaneous_eigenvectors(self):
         gens = [kron(Z, Z), kron(X, X)]
