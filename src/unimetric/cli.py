@@ -2,7 +2,10 @@
 
 Thin wrappers over the library: every number printed is the value the
 in-process API returns, serialized with full float precision.  JSON is
-the default output; ``--format text`` prints a short human summary.
+the default output; ``--format text`` prints a short human summary.  Only
+``dist``, ``distinguish`` and ``tensor`` run on the modules imported
+here; every other handler imports what it runs, so that a process loads
+only the modules of its subcommand.
 
 Exit codes: 0 ok, 1 selftest failure, 2 parse error, 3 dimension
 mismatch or non-square matrix, 4 not unitary, 5 other error.  Matrix
@@ -22,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import circlegeom, pauli, search, subsets
+from . import circlegeom
 from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
@@ -33,7 +36,6 @@ from .errors import (
 )
 from .linalg import load_matrix, matrix_to_json, validate_unitary, vector_to_json
 from .metrics import distinguishability, sup_distance_with_arc, tensor_distance
-from .numrange import numrange_origin_distance
 
 _EXIT_OK = 0
 _EXIT_SELFTEST = 1
@@ -105,6 +107,8 @@ def _cmd_tensor(args) -> tuple[dict, str]:
 
 
 def _cmd_face_dist(args) -> tuple[dict, str]:
+    from . import subsets
+
     u = _load_matrix(args.u)
     v = _load_matrix(args.v)
     basis = _load_matrix(args.basis)
@@ -113,28 +117,31 @@ def _cmd_face_dist(args) -> tuple[dict, str]:
 
 
 def _cmd_sep_dist(args) -> tuple[dict, str]:
+    from . import subsets
+
     u = _load_matrix(args.u)
     v = _load_matrix(args.v)
     try:
         dim_a, dim_b = (int(tok) for tok in args.dims.split(","))
     except ValueError as exc:
         raise _CliError(_EXIT_PARSE, f"--dims expects m,n: {exc}") from exc
-    prob = subsets.SeparableProblem(
-        dim_a=dim_a,
-        dim_b=dim_b,
-        restarts=args.restarts,
-        max_alternations=args.max_alternations,
-        seed=args.seed,
-    )
+    knobs = {
+        name: getattr(args, name)
+        for name in ("restarts", "max_alternations")
+        if getattr(args, name) is not None
+    }
+    prob = subsets.SeparableProblem(dim_a=dim_a, dim_b=dim_b, seed=args.seed, **knobs)
     result = subsets.separable_distance(u, v, prob)
     payload = result.to_json()
     payload["dims"] = [dim_a, dim_b]
-    payload["restarts"] = args.restarts
+    payload["restarts"] = prob.restarts
     payload["seed"] = args.seed
     return payload, f"separable distance = {result.value!r}"
 
 
-def _parse_generators(text: str) -> list[pauli.PauliElement]:
+def _parse_generators(text: str) -> list:
+    from . import pauli
+
     try:
         gens = pauli.parse_pauli_list(text)
     except PauliParseError as exc:
@@ -145,6 +152,8 @@ def _parse_generators(text: str) -> list[pauli.PauliElement]:
 
 
 def _cmd_nullspace(args) -> tuple[dict, str]:
+    from . import subsets
+
     gens = _parse_generators(args.gens)
     result = subsets.null_space([g.to_matrix() for g in gens])
     payload = result.to_json()
@@ -153,6 +162,8 @@ def _cmd_nullspace(args) -> tuple[dict, str]:
 
 
 def _cmd_stabilizer(args) -> tuple[dict, str]:
+    from . import pauli
+
     gens = _parse_generators(args.gens)
     group = pauli.PauliSubgroup.from_generators(gens)
     dec = pauli.stabilizer_subspace(group)
@@ -177,6 +188,8 @@ def _cmd_stabilizer(args) -> tuple[dict, str]:
 
 
 def _cmd_search(args) -> tuple[dict, str]:
+    from . import search
+
     if (args.alpha is None) == (args.N is None):
         raise _CliError(_EXIT_PARSE, "give exactly one of --alpha or --N")
     if args.N is not None:
@@ -201,6 +214,8 @@ def _cmd_search(args) -> tuple[dict, str]:
 
 
 def _cmd_numrange(args) -> tuple[dict, str]:
+    from .numrange import numrange_origin_distance
+
     m = _load_matrix(args.matrix)
     wop = validate_unitary(m)
     arc = circlegeom.smallest_covering_arc(wop.eigen_angles)
@@ -223,7 +238,6 @@ def _cmd_numrange(args) -> tuple[dict, str]:
 
 
 def _cmd_selftest(args) -> int:
-    # imported here because no other command needs the checks, whose import costs ~11 ms
     from . import acceptance
 
     indices = None
@@ -284,16 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--dims", required=True, help="factor dimensions m,n")
-    # a dataclass field's default is also its class attribute
+    # unset knobs (None) take SeparableProblem's defaults when the command runs
     p.add_argument(
-        "--restarts",
-        type=int,
-        default=subsets.SeparableProblem.restarts,
-        help="most restarts; a certified minimum ends them early",
+        "--restarts", type=int, help="most restarts; a certified minimum ends them early"
     )
-    p.add_argument(
-        "--max-alternations", type=int, default=subsets.SeparableProblem.max_alternations
-    )
+    p.add_argument("--max-alternations", type=int)
     p.add_argument("--seed", type=int, default=os.environ.get("UNIMETRIC_SEED", "0"))
     add_output_flags(p)
 

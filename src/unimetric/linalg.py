@@ -161,6 +161,14 @@ def _hermitian_parts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (w + w.conj().T) / 2, (w - w.conj().T) / 2j
 
 
+def _scalar_spread(comp: np.ndarray) -> np.ndarray:
+    """size * max|C - cI| for each C of a (B, size, size) stack of Hermitian
+    matrices, c the mean of C's diagonal."""
+    size = comp.shape[-1]
+    mean = np.einsum("bii->b", comp).real / size
+    return size * np.abs(comp - mean[:, None, None] * np.eye(size)).max(axis=(1, 2))
+
+
 def _split(
     basis: np.ndarray, blocks: list[list[int]], h: np.ndarray, tol: float
 ) -> tuple[list, set]:
@@ -183,9 +191,7 @@ def _split(
         sub = basis[:, group].transpose(1, 0, 2)
         comp = sub.conj().transpose(0, 2, 1) @ h @ sub
         comp = (comp + comp.conj().transpose(0, 2, 1)) / 2
-        mean = np.einsum("bii->b", comp).real / size
-        dev = np.abs(comp - mean[:, None, None] * np.eye(size)).max(axis=(1, 2))
-        keep = np.flatnonzero(size * dev > _CLUSTER_TOL / 2)
+        keep = np.flatnonzero(_scalar_spread(comp) > _CLUSTER_TOL / 2)
         if keep.size == 0:
             continue
         group = [group[i] for i in keep]
@@ -219,7 +225,9 @@ def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
     that one eigensolve is the answer.  No block is solved on which a
     part is already scalar (see :func:`_split`), so a W with repeated
     eigenvalues whose first-part values differ (a multiple of a Pauli
-    string, e^{i phi} I) costs one eigensolve too.
+    string, e^{i phi} I) costs one eigensolve too.  The first operator's
+    whole space is such a block when its first part is scalar (a W with
+    spectrum {+i, -i}): the second part then splits it in the one solve.
     """
     basis = None
     for w in operators:
@@ -227,16 +235,29 @@ def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
         h1 = w + w.conj().T
         h1 *= 0.5
         if basis is None:
-            vals, basis = np.linalg.eigh(h1)
-            if (np.diff(vals) > _COARSE_TOL).all():
-                return basis, [[i] for i in range(len(vals))]
-            blocks = runs(vals, _COARSE_TOL)
-            uneven = {
-                c
-                for cols in blocks
-                if len(cols) > 1 and vals[cols[-1]] - vals[cols[0]] > _CLUSTER_TOL
-                for c in cols
-            }
+            n = len(h1)
+            # the skip rule of _split on the whole space, after cheaper necessary
+            # conditions: a scalar H1 has its diagonal within _CLUSTER_TOL/2n of
+            # c and the rest of its first row within _CLUSTER_TOL/2n of 0, so a
+            # generic W pays one compare and a Pauli string a few vector ones
+            if (
+                n * abs(h1[0, 0] - h1[-1, -1]) <= _CLUSTER_TOL
+                and n * np.abs(h1[0, 1:]).max(initial=0.0) <= _CLUSTER_TOL / 2
+                and n * np.ptp(h1.diagonal().real) <= _CLUSTER_TOL
+                and _scalar_spread(h1[None])[0] <= _CLUSTER_TOL / 2
+            ):
+                basis, blocks, uneven = np.eye(n, dtype=h1.dtype), [list(range(n))], set()
+            else:
+                vals, basis = np.linalg.eigh(h1)
+                if (np.diff(vals) > _COARSE_TOL).all():
+                    return basis, [[i] for i in range(n)]
+                blocks = runs(vals, _COARSE_TOL)
+                uneven = {
+                    c
+                    for cols in blocks
+                    if len(cols) > 1 and vals[cols[-1]] - vals[cols[0]] > _CLUSTER_TOL
+                    for c in cols
+                }
         else:
             blocks, uneven = _split(basis, blocks, h1, _COARSE_TOL)
         if len(blocks) == len(basis):

@@ -11,6 +11,7 @@ O(sqrt(N)) when sin(alpha) = 1/sqrt(N) and gamma = alpha.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,13 @@ class SearchProblem:
             raise InvalidAnglesError(f"alpha must lie in (0, pi/2), got {self.alpha}")
         if not (0.0 < self.gamma < math.pi / 2):
             raise InvalidAnglesError(f"gamma must lie in (0, pi/2), got {self.gamma}")
+        if not math.isfinite(self.theta):
+            raise InvalidAnglesError(f"theta must be finite, got {self.theta}")
         if self.N is not None:
             if self.N < 2:
                 raise InvalidAnglesError("N must be at least 2")
+            if self.N > sys.float_info.max:
+                raise InvalidAnglesError("N must be at most the largest float")
             if abs(math.sin(self.alpha) - 1.0 / math.sqrt(self.N)) > 1e-12:
                 raise InvalidAnglesError(
                     f"alpha inconsistent with N: sin(alpha) = {math.sin(self.alpha)!r}, "
@@ -55,8 +60,8 @@ class SearchProblem:
 
     @classmethod
     def from_size(cls, N: int, gamma: float | None = None, theta: float = 0.0) -> "SearchProblem":
-        # clamped so that __post_init__, not the square root, rejects N < 2
-        alpha = math.asin(1.0 / math.sqrt(max(N, 2)))
+        # clamped so that __post_init__, not the square root, rejects N out of range
+        alpha = math.asin(1.0 / math.sqrt(min(max(N, 2), sys.float_info.max)))
         return cls(alpha=alpha, gamma=alpha if gamma is None else gamma, theta=theta, N=N)
 
 
@@ -125,6 +130,8 @@ def minimal_k(p: SearchProblem, epsilon: float) -> tuple[int, float]:
     """
     if not (0.0 < epsilon < 1.0):
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if math.pi / p.gamma == math.inf:
+        raise OutOfRangeError(f"gamma = {p.gamma!r} gives no finite period")
     period_max = math.ceil(math.pi / p.gamma)
     delta = math.asin(epsilon)
     lo = (math.pi / 2 - delta - p.alpha) / p.gamma
@@ -140,6 +147,12 @@ def minimal_k(p: SearchProblem, epsilon: float) -> tuple[int, float]:
                     if k > bound:
                         raise InternalCheckError("minimal k", k, bound)
                 return k, achieved
-    ks = np.arange(0, period_max + 1)
+    # |cos(alpha + k gamma)| falls to each zero of cos and rises past it, so
+    # over 0..period_max it is least next to pi/2 or 3pi/2, or at an end
+    ks = {0, period_max}
+    for zero in (math.pi / 2, 3 * math.pi / 2):
+        at = (zero - p.alpha) / p.gamma
+        ks.update(min(max(f(at), 0), period_max) for f in (math.floor, math.ceil))
+    ks = np.array(sorted(ks), dtype=float)
     best = int(ks[np.argmin(_formula_distance(p, ks))])
     raise UnreachableToleranceError(best, distance_after_k(p, best), epsilon)

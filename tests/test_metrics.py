@@ -553,12 +553,41 @@ def degenerate_pairs() -> dict:
 @pytest.mark.parametrize("kind", list(degenerate_pairs()))
 def test_one_eigensolve_per_degenerate_pair(func, kind, counted_eigensolves):
     # every block of W's first Hermitian part holds one eigenvalue, so the
-    # second part is scalar on each and no block is solved again
+    # second part is scalar on each and no block is solved again; a phase
+    # pair's W = e^{i phi} I is scalar in both parts and is not solved at all
     u, v, d = degenerate_pairs()[kind]
+    counted_eigensolves.clear()
+    res = func(u, v)
+    assert len(counted_eigensolves) == (0 if kind.startswith("phase") else 1)
+    assert res.value == pytest.approx(d, abs=1e-12)
+
+
+def scalar_first_part_pairs() -> dict:
+    """(U, V, d) for pairs whose W = U'V has first Hermitian part cI: a
+    spectrum of e^{i theta} and e^{-i theta} only, {+i, -i} included."""
+    rng = np.random.default_rng(95)
+    pairs = {"XX-YX": (pauli_string("XX"), pauli_string("YX"), 1.0)}
+    for n, theta, d in ((3, math.pi / 2, 1.0), (8, 0.4, math.sin(0.4)), (16, 1.2, math.sin(1.2))):
+        u, q = haar_unitaries(rng, 2, n)
+        pairs[f"pm{theta:.2f}-{n}"] = (u, u @ spectrum(q, np.resize([theta, -theta], n)), d)
+    return pairs
+
+
+@pytest.mark.parametrize("func", [sup_distance, distinguishability])
+@pytest.mark.parametrize("kind", list(scalar_first_part_pairs()))
+def test_one_eigensolve_when_first_part_is_scalar(func, kind, counted_eigensolves):
+    # no solve of H1 = cI splits anything, so the second part splits the whole space
+    u, v, d = scalar_first_part_pairs()[kind]
     counted_eigensolves.clear()
     res = func(u, v)
     assert len(counted_eigensolves) == 1
     assert res.value == pytest.approx(d, abs=1e-12)
+
+
+def test_one_dimensional_pair_needs_no_eigensolve(counted_eigensolves):
+    res = distinguishability(np.array([[1j]]), np.array([[np.exp(0.3j)]]))
+    assert counted_eigensolves == []
+    assert res.value == 0.0 and not res.distinguishable
 
 
 @pytest.mark.parametrize("func", [sup_distance, distinguishability])

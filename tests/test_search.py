@@ -38,6 +38,15 @@ class TestSearchProblem:
         with pytest.raises(InvalidAnglesError):
             SearchProblem.from_size(n)
 
+    def test_size_beyond_floats_rejected_before_sqrt(self):
+        # math.sqrt of an int above the largest float raises a bare OverflowError
+        with pytest.raises(InvalidAnglesError):
+            SearchProblem.from_size(2**1100)
+
+    def test_infinite_theta_rejected(self):
+        with pytest.raises(InvalidAnglesError):
+            SearchProblem(alpha=0.5, gamma=0.5, theta=math.inf)
+
 
 class TestBuildOperators:
     def test_both_unitary(self):
@@ -145,6 +154,20 @@ class TestMinimalK:
         assert distance_after_k(p, exc.value.best_k) == pytest.approx(
             exc.value.achieved, abs=1e-12
         )
+
+    def test_unreachable_best_matches_a_full_scan(self):
+        # the best k lies next to a zero of cos or at an end of the period
+        cases = ((0.7, 1.4, 0.01), (0.1, 0.37, 1e-4), (1.5, 0.9, 1e-3), (0.2, 0.05, 1e-9))
+        for alpha, gamma, eps in cases:
+            p = SearchProblem(alpha=alpha, gamma=gamma)
+            ks = np.arange(0, math.ceil(math.pi / gamma) + 1)
+            with pytest.raises(UnreachableToleranceError) as exc:
+                minimal_k(p, eps)
+            assert exc.value.best_k == ks[np.argmin(np.abs(np.cos(alpha + ks * gamma)))]
+
+    def test_subnormal_gamma_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            minimal_k(SearchProblem(alpha=0.5, gamma=5e-324), 0.1)
 
     def test_epsilon_domain(self):
         with pytest.raises(OutOfRangeError):

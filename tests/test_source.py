@@ -1,7 +1,12 @@
 import ast
+import importlib
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -48,20 +53,67 @@ def test_no_bare_runtime_error_in_library_code(path):
 
 
 def test_public_names_resolve():
-    # every exported name exists, and __all__ lists exactly what __init__ imports
+    # __all__ is the lazy table's keys, and each name is the object its module defines
     import unimetric
 
-    missing = [name for name in unimetric.__all__ if not hasattr(unimetric, name)]
-    assert missing == []
-    init = pathlib.Path(unimetric.__file__).with_name("__init__.py")
-    tree = ast.parse(init.read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert sorted(unimetric.__all__) == sorted(imported)
+    assert unimetric.__all__ == list(unimetric._EXPORTS)
+    for name, module in unimetric._EXPORTS.items():
+        home = importlib.import_module(f"unimetric.{module}")
+        assert getattr(unimetric, name) is getattr(home, name), name
+        assert getattr(home, name).__module__ == home.__name__, name
+    assert unimetric._SUBMODULES == {p.stem for p in SOURCES} - {"__init__"}
+    assert set(dir(unimetric)) >= set(unimetric.__all__) | unimetric._SUBMODULES
+    with pytest.raises(AttributeError):
+        unimetric.no_such_name
+
+
+_FRESH_IMPORTS = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(k.split(".", 1)[1] for k in sys.modules if k.startswith("unimetric."))
+
+import unimetric
+steps = {"import unimetric": loaded()}
+from unimetric import cli
+steps["import unimetric.cli"] = loaded()
+u, v, out = sys.argv[1:]
+calls = [
+    ["dist", u, v],
+    ["distinguish", u, v],
+    ["tensor", "--d1", "0.5", "--d2", "0.5"],
+    ["search", "--N", "64", "--epsilon", "0.1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+steps["dist, distinguish, tensor, search"] = loaded()
+steps["subsets"] = unimetric.subsets.__name__
+with open(out, "w") as fh:
+    json.dump({"codes": codes, "steps": steps}, fh)
+"""
+
+
+def test_subcommands_load_only_what_they_run(tmp_path):
+    # a fresh process: the package loads nothing, and each handler imports what it runs
+    for name, m in (("u", np.eye(2)), ("v", np.diag([1.0, 1j]))):
+        flat = [[z.real, z.imag] for z in m.astype(complex).reshape(-1)]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"rows": 2, "cols": 2, "data": flat}))
+    out = tmp_path / "out.json"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    argv = [str(tmp_path / "u.json"), str(tmp_path / "v.json"), str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_IMPORTS, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    steps = report["steps"]
+    assert report["codes"] == [0, 0, 0, 0]
+    assert steps["import unimetric"] == []
+    assert steps["import unimetric.cli"] == ["circlegeom", "cli", "errors", "linalg", "metrics"]
+    ran = steps["dist, distinguish, tensor, search"]
+    assert {"subsets", "numrange", "pauli", "acceptance"}.isdisjoint(ran), ran
+    assert steps["subsets"] == "unimetric.subsets"
 
 
 def _module_level_private(tree):
