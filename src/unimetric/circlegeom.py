@@ -4,7 +4,9 @@ Three operations drive the closed-form unitary metric:
 
 * :func:`smallest_covering_arc` finds the shortest arc containing every
   point, 2pi minus the largest circular gap between consecutive angles;
-  no angles merge, so the arc is monotone and continuous in them.
+  no angles merge, so the arc is monotone and continuous in them.  It
+  checks, reduces and sorts its input, then scans the gaps with
+  :func:`sorted_covering_arc`, which the closed form calls directly.
 * :func:`distance_from_arc` is the closed form itself: sin(alpha/2) for
   arcs shorter than a semicircle, 1 once a semicircle is covered.
 * :func:`arc_witness` gives every witness built from an eigenvalue arc,
@@ -39,6 +41,8 @@ from .linalg import TAU, _freeze, runs
 # angles this close share one run of the display grouping
 RUN_TOL = 1e-9
 ARC_TOL = 1e-9
+# weights 1/2 on a chord's ends; read-only, so every witness can share them
+_HALVES = _freeze(np.array([0.5, 0.5]))
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,19 @@ def smallest_covering_arc(angles) -> SpectralArc:
         raise EmptyInputError("angle set is empty")
     if not all(map(math.isfinite, a)):
         raise MalformedInputError("angles must be finite")
+    return sorted_covering_arc(sorted_reduced(a))
+
+
+def sorted_reduced(angles: list[float]) -> list[float]:
+    """Finite angles reduced to [0, 2pi), ascending."""
     # Python's % rounds as np.mod does: a tiny negative angle goes to 2pi, read as 0
-    a = sorted([r if r < TAU else 0.0 for r in (x % TAU for x in a)])
+    return sorted([r if r < TAU else 0.0 for r in (x % TAU for x in angles)])
+
+
+def sorted_covering_arc(a: list[float]) -> SpectralArc:
+    """:func:`smallest_covering_arc` of a nonempty list of floats already
+    reduced to [0, 2pi) and sorted ascending, with no checks: the closed
+    form's angles arrive so."""
     gaps = [y - x for x, y in zip(a, a[1:])]
     gaps.append(a[0] + TAU - a[-1])
     g = gaps.index(max(gaps))
@@ -190,7 +205,7 @@ def arc_witness(arc: SpectralArc) -> WitnessWeights:
     are 1/2 on b and c.
     """
     if arc.alpha < math.pi:
-        return WitnessWeights(support=(arc.start, arc.end), weights=_freeze(np.array([0.5, 0.5])))
+        return WitnessWeights(support=(arc.start, arc.end), weights=_HALVES)
     angles = arc.angles.tolist()
     n = len(angles)
     b, c = angles[arc.end], angles[arc.start]
@@ -207,7 +222,7 @@ def arc_witness(arc: SpectralArc) -> WitnessWeights:
         p = [s, (1.0 - s) * (1.0 - t), (1.0 - s) * t]
         if abs(p[0] * za + p[1] * zb + p[2] * zc) <= abs(zb + zc) / 2.0:
             return WitnessWeights(support=(k, arc.end, arc.start), weights=_freeze(np.array(p)))
-    return WitnessWeights(support=(arc.end, arc.start), weights=_freeze(np.array([0.5, 0.5])))
+    return WitnessWeights(support=(arc.end, arc.start), weights=_HALVES)
 
 
 def polygon_csv(arc: SpectralArc) -> str:

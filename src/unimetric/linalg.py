@@ -19,6 +19,18 @@ part is already scalar, to within ``_CLUSTER_TOL``/2 over the block's
 size, is not solved, since no solve could split it: W is then
 eigensolved once whenever its H1 alone separates its distinct
 eigenvalues, repeated ones included.
+
+A single W (the closed form, :func:`decompose_unitary`) goes through
+the blocks only when it must.  Its first basis, H1's eigenbasis or the
+identity when H1 is scalar, is kept when H1's eigenvalues are more than
+``_COARSE_TOL`` apart, or when every column fits W with a residual
+|W v - e^{i theta} v| of at most ``_ROUNDING_RESIDUAL`` (1e-12): by the
+Bauer-Fike bound for normal matrices the columns' Rayleigh quotients
+then match W's spectrum to that residual, whatever H1's gaps.  So a
+multiple of a Pauli string, a repeated spectrum or a diagonal W costs
+the one solve of H1, and a scalar W none.  A mirrored pair e^{i theta},
+e^{-i(theta + g)} that H1 does not separate leaves its columns mixed far
+above rounding, and takes the block split.
 """
 
 from __future__ import annotations
@@ -51,6 +63,8 @@ EIGEN_TOL = 1e-8
 _CLUSTER_TOL = 1e-8
 # first split of each operator's first Hermitian part; see _joint_eigenbasis
 _COARSE_TOL = 1e-6
+# a fitted column with at most this residual is an eigenvector to rounding; see _eigen_fit
+_ROUNDING_RESIDUAL = 1e-12
 
 
 def as_matrix(m) -> np.ndarray:
@@ -209,7 +223,35 @@ def _split(
     return [part for cols in blocks for part in split.get(cols[0], [cols])], uneven
 
 
-def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
+def _first_basis(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """H1 = (W + W')/2 of one operator and the kernel's first basis for it:
+    H1's eigenbasis with its eigenvalues, ascending, or, when H1 is
+    scalar, the identity with None."""
+    # (W + W')/2 entry for entry, up to the sign of a zero
+    h1 = w + w.conj().T
+    h1 *= 0.5
+    n = len(h1)
+    # the skip rule of _split on the whole space, after cheaper necessary
+    # conditions: a scalar H1 has its diagonal within _CLUSTER_TOL/2n of
+    # c and the rest of its first row within _CLUSTER_TOL/2n of 0, so a
+    # generic W pays one compare and a Pauli string a few vector ones
+    if (
+        n * abs(h1[0, 0] - h1[-1, -1]) <= _CLUSTER_TOL
+        and n * np.abs(h1[0, 1:]).max(initial=0.0) <= _CLUSTER_TOL / 2
+        and n * np.ptp(h1.diagonal().real) <= _CLUSTER_TOL
+        and _scalar_spread(h1[None])[0] <= _CLUSTER_TOL / 2
+    ):
+        return h1, np.eye(n, dtype=h1.dtype), None
+    vals, basis = np.linalg.eigh(h1)
+    return h1, basis, vals
+
+
+def _separated(vals: np.ndarray | None) -> bool:
+    """Whether every gap of ascending first-part values exceeds ``_COARSE_TOL``."""
+    return vals is not None and bool((vals[1:] - vals[:-1] > _COARSE_TOL).all())
+
+
+def _joint_eigenbasis(operators, first=None) -> tuple[np.ndarray, list[list[int]]]:
     """Joint eigenbasis of commuting (near-)unitaries, and its blocks: runs
     of adjacent columns, ascending, on which every operator is scalar.
 
@@ -228,29 +270,20 @@ def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
     string, e^{i phi} I) costs one eigensolve too.  The first operator's
     whole space is such a block when its first part is scalar (a W with
     spectrum {+i, -i}): the second part then splits it in the one solve.
+
+    ``first`` is :func:`_first_basis` of the first operator when the
+    caller has it already; its basis is then refined in place.
     """
     basis = None
     for w in operators:
-        # (W + W')/2 entry for entry, up to the sign of a zero
-        h1 = w + w.conj().T
-        h1 *= 0.5
         if basis is None:
-            n = len(h1)
-            # the skip rule of _split on the whole space, after cheaper necessary
-            # conditions: a scalar H1 has its diagonal within _CLUSTER_TOL/2n of
-            # c and the rest of its first row within _CLUSTER_TOL/2n of 0, so a
-            # generic W pays one compare and a Pauli string a few vector ones
-            if (
-                n * abs(h1[0, 0] - h1[-1, -1]) <= _CLUSTER_TOL
-                and n * np.abs(h1[0, 1:]).max(initial=0.0) <= _CLUSTER_TOL / 2
-                and n * np.ptp(h1.diagonal().real) <= _CLUSTER_TOL
-                and _scalar_spread(h1[None])[0] <= _CLUSTER_TOL / 2
-            ):
-                basis, blocks, uneven = np.eye(n, dtype=h1.dtype), [list(range(n))], set()
+            h1, basis, vals = first or _first_basis(w)
+            n = len(basis)
+            if vals is None:
+                blocks, uneven = [list(range(n))], set()
+            elif _separated(vals):
+                return basis, [[i] for i in range(n)]
             else:
-                vals, basis = np.linalg.eigh(h1)
-                if (np.diff(vals) > _COARSE_TOL).all():
-                    return basis, [[i] for i in range(n)]
                 blocks = runs(vals, _COARSE_TOL)
                 uneven = {
                     c
@@ -259,6 +292,8 @@ def _joint_eigenbasis(operators) -> tuple[np.ndarray, list[list[int]]]:
                     for c in cols
                 }
         else:
+            h1 = w + w.conj().T
+            h1 *= 0.5
             blocks, uneven = _split(basis, blocks, h1, _COARSE_TOL)
         if len(blocks) == len(basis):
             continue  # every block is one column: H2 has nothing to split
@@ -307,15 +342,37 @@ def _polar_step(a: np.ndarray) -> np.ndarray:
     return a @ (3.0 * np.eye(a.shape[0]) - a.conj().T @ a) / 2.0
 
 
-def _eigen_fit(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The kernel's basis for W, A's Rayleigh angles on it, and the largest
-    residual |A v - e^{i theta} v|; the one product A V gives both."""
-    vecs, _ = _joint_eigenbasis([w])
+def _fit(a: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
+    """A's Rayleigh angles on an orthonormal basis, and the largest squared
+    residual |A v - e^{i theta} v|^2 of its columns; the one product A V
+    gives both."""
     av = a @ vecs
     ray = np.einsum("ij,ij->j", vecs.conj(), av)
     angles = reduce_angles(np.arctan2(ray.imag, ray.real))
     av -= vecs * np.exp(1j * angles)
-    return vecs, angles, float(np.linalg.norm(av, axis=0).max())
+    return angles, float(np.einsum("ij,ij->j", av.conj(), av).real.max())
+
+
+def _eigen_fit(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The kernel's basis for W, A's Rayleigh angles on it, and the largest
+    residual |A v - e^{i theta} v|.
+
+    The first basis (:func:`_first_basis`) is kept when every column's
+    residual is at most ``_ROUNDING_RESIDUAL``, or when its first-part
+    values are separated.  In the first case A V = V D + R with D the
+    diagonal of Rayleigh quotients and R at rounding level, so A lies
+    within |R| of the normal V D V' and, by Bauer-Fike, the quotients
+    match A's spectrum to that level, whatever H1's gaps.  Otherwise the
+    block split of :func:`_joint_eigenbasis` refines that basis and A is
+    fitted again; the residual is always the final fit's own.
+    """
+    first = _first_basis(w)
+    vecs = first[1]
+    angles, resid2 = _fit(a, vecs)
+    if resid2 > _ROUNDING_RESIDUAL**2 and not _separated(first[2]):
+        vecs, _ = _joint_eigenbasis([w], first)
+        angles, resid2 = _fit(a, vecs)
+    return vecs, angles, math.sqrt(resid2)
 
 
 def checked_eigen_fit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

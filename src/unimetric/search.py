@@ -65,9 +65,14 @@ class SearchProblem:
         return cls(alpha=alpha, gamma=alpha if gamma is None else gamma, theta=theta, N=N)
 
 
-def _search_matrices(p: SearchProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Raw matrices of the target U and the step V; unitary by construction."""
-    a, g, th = p.alpha, p.gamma, p.theta
+def _search_matrices(p: SearchProblem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Raw matrices of the target U and the k-fold step V^k; unitary by
+    construction.
+
+    V^k is the rotation by k gamma itself, not a product of k factors,
+    whose rounding would grow with k.
+    """
+    a, g, th = p.alpha, k * p.gamma, p.theta
     eith = complex(math.cos(th), math.sin(th))
     u = np.array(
         [
@@ -108,8 +113,7 @@ def distance_after_k(p: SearchProblem, k: int) -> float:
     """sup-metric distance between the target and the k-fold step."""
     if k < 0:
         raise OutOfRangeError(f"k must be nonnegative, got {k}")
-    u, v = _search_matrices(p)
-    return sup_distance(u, np.linalg.matrix_power(v, k)).value
+    return sup_distance(*_search_matrices(p, k)).value
 
 
 def _formula_distance(p: SearchProblem, k: np.ndarray) -> np.ndarray:

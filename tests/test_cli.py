@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -204,6 +205,20 @@ class TestOtherCommands:
     def test_search_size_below_two_exit_5(self, n, capsys):
         assert cli.main(["search", "--N", n, "--epsilon", "0.1"]) == 5
         assert "N must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon, code", [("1e-6", 0), ("1e-12", 5)])
+    def test_search_at_large_k(self, epsilon, code, capsys):
+        # k = 1570795: V^k is a valid operand, not a rounded matrix power, so
+        # the call succeeds, or reports 1e-12 as unreachable with its best k
+        assert cli.main(["search", "--alpha", "1e-6", "--epsilon", epsilon]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            payload = json.loads(out)
+            k, achieved = payload["k"], payload["achieved"]
+        else:
+            k, achieved = (float(x) for x in re.findall(r"best k = (\d+) achieves (\S+)", err)[0])
+        assert k == 1570795
+        assert achieved == pytest.approx(abs(math.cos(1e-6 + k * 1e-6)), abs=1e-9)
 
     def test_search_unreachable_exit_5(self, capsys):
         code = cli.main(

@@ -17,6 +17,7 @@ from unimetric.errors import (
     NotUnitaryError,
     OutOfRangeError,
 )
+from unimetric import linalg
 from unimetric.linalg import (
     _CLUSTER_TOL,
     DensityState,
@@ -33,6 +34,8 @@ from unimetric.linalg import (
     trace_distance,
     validate_unitary,
 )
+from unimetric.metrics import sup_distance_with_arc
+from unimetric.pauli import PauliElement
 from unimetric.subsets import SubspaceFace
 from unimetric.subsets import null_space
 
@@ -345,18 +348,27 @@ class TestMirrorPairs:
                     assert np.linalg.norm(g @ v - chi * v, axis=0).max() <= 1e-13
 
 
-    def test_near_mirror_family_at_n4(self):
+    def test_near_mirror_family_at_n4(self, monkeypatch):
         # the family's worst residual is 2.497e-10 whether or not scalar
-        # blocks skip their solve: H2 is never scalar on a mirror block
+        # blocks skip their solve: H2 is never scalar on a mirror block.
+        # A first basis that H1 does not separate mixes the mirrored pair
+        # beyond the residual gate (1.4e-11 at least), so it takes the split
+        splits = []
+        monkeypatch.setattr(linalg, "_split", lambda *args: splits.append(1) or _split(*args))
         rng = np.random.default_rng(3)
-        worst = 0.0
+        worst, split = 0.0, 0
         for _ in range(200):
             theta, gap = rng.uniform(0.0, math.pi), 10 ** rng.uniform(-9, -5)
             angles = [theta, 2 * math.pi - theta - gap, *rng.uniform(0.0, 2 * math.pi, 2)]
             q = haar_unitaries(rng, 1, 4)[0]
             w = (q * np.exp(1j * np.array(angles))) @ q.conj().T
+            splits.clear()
             worst = max(worst, eigen_residual(w, validate_unitary(w)))
+            separated = linalg._separated(np.linalg.eigvalsh((w + w.conj().T) / 2))
+            assert bool(splits) != separated
+            split += bool(splits)
         assert worst <= 2.5e-10
+        assert split == 163
 
 
 def forced_split(basis, blocks, h, tol):
@@ -421,6 +433,70 @@ class TestScalarBlockSkip:
         _split(basis, blocks, h, _CLUSTER_TOL)
         sub = basis[:, :3]
         assert np.abs(h @ sub - 0.3 * sub).max() <= self.BOUND
+
+
+def gate_pairs() -> dict:
+    """(U, V) whose W = U'V the first basis fits to rounding though H1
+    does not separate it: a phase times a Pauli string at n = 4, 8 and
+    16 (two antipodal eigenvalues), repeated spectra, a scalar W and a
+    diagonal W with a mirrored pair."""
+    rng = np.random.default_rng(98)
+    pairs = {}
+    for a, b in (("XZ", "ZY"), ("XYZ", "ZZI"), ("XYZI", "ZIXY")):
+        u = np.exp(0.7j) * PauliElement.from_letters(a).to_matrix()
+        pairs[f"pauli-{2 ** len(a)}"] = (u, PauliElement.from_letters(b).to_matrix())
+    for n, angles in ((8, [0.2, 1.4]), (7, [0.3, 2.3, 4.3])):
+        u, q = haar_unitaries(rng, 2, n)
+        w = (q * np.exp(1j * np.resize(angles, n))) @ q.conj().T
+        pairs[f"repeated-{len(angles)}"] = (u, u @ w)
+    pairs["scalar"] = (np.eye(5, dtype=complex), np.exp(0.4j) * np.eye(5))
+    diagonal = np.diag(np.exp(1j * np.array([0.1, 0.1, 2.0, -2.0, 3.0, 3.0])))
+    pairs["diagonal"] = (np.eye(6, dtype=complex), diagonal)
+    return pairs
+
+
+class TestResidualGate:
+    """A first basis whose columns all fit W to rounding is kept, whatever H1's gaps."""
+
+    @pytest.mark.parametrize("kind", list(gate_pairs()))
+    def test_first_basis_is_kept(self, kind, counted_eigensolves, monkeypatch):
+        u, v = gate_pairs()[kind]
+        splits = []
+        monkeypatch.setattr(linalg, "_split", lambda *args: splits.append(1) or _split(*args))
+        counted_eigensolves.clear()
+        result, arc = sup_distance_with_arc(u, v)
+        assert len(counted_eigensolves) <= 1
+        assert splits == []
+
+        # the kernel's block split reads the same arc bit for bit: it skips
+        # every block, on which H2 is scalar
+        def split_fit(a, w):
+            vecs, _ = linalg._joint_eigenbasis([w])
+            angles, resid2 = linalg._fit(a, vecs)
+            return vecs, angles, math.sqrt(resid2)
+
+        monkeypatch.setattr(linalg, "_eigen_fit", split_fit)
+        split_result, split_arc = sup_distance_with_arc(u, v)
+        assert split_result.value == result.value
+        assert split_arc.angles.tobytes() == arc.angles.tobytes()
+        assert (split_arc.alpha, split_arc.start, split_arc.end) == (arc.alpha, arc.start, arc.end)
+
+        # with every block solved, the value and the arc's length are the
+        # same too; the basis turns within each eigenspace, which moves a
+        # repeated angle by up to 4 ulp here
+        def forced(basis, blocks, h, tol):
+            splits.append(1)
+            basis[...], out = forced_split(basis, blocks, h, tol)
+            return out, set()
+
+        splits.clear()
+        monkeypatch.setattr(linalg, "_split", forced)
+        split_result, split_arc = sup_distance_with_arc(u, v)
+        assert splits
+        assert split_result.value == result.value
+        assert split_arc.alpha == arc.alpha
+        ulps = 4 * math.ulp(2 * math.pi)
+        np.testing.assert_allclose(split_arc.angles, arc.angles, rtol=0, atol=ulps)
 
 
 class TestRuns:

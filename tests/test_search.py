@@ -97,6 +97,12 @@ class TestDistanceAfterK:
         p = SearchProblem(alpha=math.pi / 6, gamma=math.pi / 3)
         assert distance_after_k(p, 2) == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1570795, 10**9])
+    def test_large_k_is_the_rotation_by_k_gamma(self, k):
+        # a product of k steps would round beyond the unitarity tolerance
+        p = SearchProblem(alpha=1e-6, gamma=1e-6, theta=0.4)
+        assert distance_after_k(p, k) == pytest.approx(abs(math.cos(1e-6 + k * 1e-6)), abs=1e-9)
+
     def test_negative_k_rejected(self):
         with pytest.raises(OutOfRangeError):
             distance_after_k(SearchProblem(alpha=0.3, gamma=0.3), -1)
